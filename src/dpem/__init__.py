@@ -12,6 +12,7 @@ from .accountant import (
     advanced_compose,
     advanced_calibrate,
     calibrate,
+    compose,
     compose_trace,
     gaussian_moment,
     laplace_moment,
@@ -76,5 +77,22 @@ from .mog import (
     m_step_mle,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "AccountingTrace", "advanced_calibrate", "advanced_compose",
+    "analyze_gauss_perturb", "BoundedDataset", "calibrate", "Clustering",
+    "compose", "compose_trace", "CompositionPlan", "cv_split", "DataError",
+    "DegenerateComponentError", "dpem_kmeans", "DpEmConfig", "DpemError",
+    "dplloyd", "e_step", "ExperimentResult", "fa_average_log_likelihood",
+    "FAParams", "fit_em", "gaussian_moment", "gaussian_sigma", "init_params",
+    "laplace_moment", "laplace_scale", "linear_calibrate", "linear_compose",
+    "lloyd", "load_csv", "log_likelihood", "m_step_map", "m_step_mle",
+    "ma_calibrate", "ma_tail_epsilon", "ma_total_moment", "MapPrior",
+    "MechanismSpec", "MoGParams", "MomentCurve", "nicv", "perturb_mean",
+    "perturb_second_moment", "perturb_simplex", "preprocess", "PrivacyBudget",
+    "psd_project", "Responsibilities", "run_dpem_mog", "run_fa_em",
+    "second_moment", "SecondMoment", "SingularCovarianceError", "summarize",
+    "synth_mog", "TraceRecord", "UnattainableBudgetError", "write_csv",
+    "write_results_jsonl", "write_summary_csv", "zcdp_calibrate",
+    "zcdp_calibrate_pure", "zcdp_rho", "zcdp_to_dp",
+]
 __version__ = "0.1.0"

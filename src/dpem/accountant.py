@@ -1,30 +1,35 @@
 """Privacy-loss accounting and per-iteration budget calibration.
 
-Implements four ways to compose a fixed schedule of Laplace/Gaussian
-releases into a total (epsilon, delta) guarantee:
+Four ways compose Laplace/Gaussian releases into a total (epsilon, delta)
+guarantee: linear composition, advanced composition with a slack term,
+zCDP (the total rho converts to approximate DP), and a moments accountant
+that sums log-MGF bounds of the privacy loss and minimizes the Markov tail
+over integer orders.
 
-* linear composition,
-* advanced composition with a slack term,
-* zCDP composition (pure-DP releases cost eps_i^2/2, Gaussian releases
-  cost sens^2/(2 sigma^2); the total rho converts to approximate DP),
-* a moments accountant that sums per-mechanism log-MGF bounds of the
-  privacy loss and minimizes the Markov tail over integer orders.
-
-Each method also has an inverse that finds the largest per-iteration
-budget eps_i whose recomposed total stays inside a requested budget.
+Calibration and audit share one engine, :func:`compose`, over *charges*:
+plain tuples (kind, eps_i, delta_i, rho, count), each one release or one
+parallel group at its most expensive member, repeated ``count`` times. A
+:class:`CompositionPlan` yields its charges at a given eps_i, a recorded
+trace one per group (``AccountingTrace.charges``). Calibration searches for
+the largest eps_i whose plan composes inside the budget; the audit composes
+the trace. Linear and advanced composition read the ``eps_i`` labels (and
+the Gaussian ``delta_i``). zCDP reads ``rho``: eps_i^2/2 for Laplace,
+sensitivity^2/(2 beta) for Gaussian. The moments accountant reads a Laplace
+charge's ``eps_i`` and a Gaussian charge's ``rho``, whose log moment is
+(l^2 + l) rho.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import UnattainableBudgetError
-from .mechanisms import AccountingTrace, TraceRecord, gaussian_sigma
+from .mechanisms import AccountingTrace, charge_delta, charge_rho
 
-DEFAULT_MAX_ORDER = 64
+DEFAULT_MAX_ORDER = 512
 
 # Gaussian calibration is only valid for eps_i < 1, so every inversion
 # searches this bracket.
@@ -57,6 +62,10 @@ class PrivacyBudget:
 def _require_strict(total: PrivacyBudget) -> None:
     if total.epsilon <= 0 or total.delta <= 0:
         raise ValueError("calibration needs epsilon > 0 and delta > 0")
+
+
+def _laplace_charge(eps_i: float, count: int) -> tuple:
+    return ("laplace", eps_i, None, 0.5 * eps_i ** 2, count)
 
 
 @dataclass(frozen=True)
@@ -110,6 +119,32 @@ class CompositionPlan:
         if self.scenario == "llg":
             return {"covariances": j * k}
         return {"weights": j, "means": j * k, "covariances": j * k}
+
+    def charges(self, eps_i: float,
+                sigma_by_param: dict[str, tuple[float, float]] | None = None
+                ) -> list[tuple]:
+        """The schedule's charges when every release is run at eps_i.
+
+        Gaussian releases are minimally calibrated, sigma = sens sqrt(2
+        log(1.25/delta_i))/eps_i, so each costs sens^2/(2 sigma^2) =
+        eps_i^2/(4 log(1.25/delta_i)) whatever its sensitivity, unless
+        ``sigma_by_param`` maps a parameter class to its (sensitivity, sigma)
+        pair, itemizing the cost per class.
+        """
+        if eps_i < 0:
+            raise ValueError("eps_i must be nonnegative")
+        out = [_laplace_charge(eps_i, self.n_laplace)]
+        if sigma_by_param is None:
+            rho = eps_i ** 2 / (4.0 * math.log(1.25 / self.delta_i))
+            out.append(("gaussian", eps_i, self.delta_i, rho, self.n_gaussian))
+            return out
+        for name, count in self.gaussian_class_counts().items():
+            if count == 0:
+                continue
+            sens, sigma = sigma_by_param[name]
+            rho = 0.0 if sens == 0 else sens ** 2 / (2.0 * sigma ** 2)
+            out.append(("gaussian", eps_i, self.delta_i, rho, count))
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -174,25 +209,34 @@ class MomentCurve:
     def max_order(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def orders(self) -> np.ndarray:
-        return np.arange(1, self.max_order + 1)
-
     def __call__(self, order: int) -> float:
         if not 1 <= order <= self.max_order:
             raise ValueError(f"order {order} outside [1, {self.max_order}]")
         return float(self.values[order - 1])
 
 
-def _unit_sigma_pairs(plan: CompositionPlan, eps_i: float) -> dict[str, tuple[float, float]]:
-    """Exactly-calibrated (sensitivity, sigma) placeholders per class.
+def _moment_curve(charges: list[tuple], max_order: int) -> np.ndarray:
+    """Total log moment at orders 1..max_order: one Laplace moment vector
+    per distinct Laplace eps_i, plus (l^2 + l) times the Gaussian rho."""
+    orders = np.arange(1, max_order + 1)
+    gauss_rho = 0.0
+    laplace_counts: dict[float, int] = {}
+    for kind, eps_i, _, rho, count in charges:
+        if count == 0:
+            continue
+        if kind == "laplace":
+            laplace_counts[eps_i] = laplace_counts.get(eps_i, 0) + count
+        else:
+            gauss_rho += count * rho
+    curve = (orders ** 2 + orders) * gauss_rho
+    for eps_i, count in laplace_counts.items():
+        curve += count * laplace_moment(orders, eps_i)
+    return curve
 
-    Only the ratio sensitivity/sigma enters the moments, and calibrated
-    sigmas are proportional to the sensitivity, so unit pairs reproduce the
-    run-time accounting without knowing the data-dependent sensitivities.
-    """
-    sigma = gaussian_sigma(1.0, eps_i, plan.delta_i)
-    return {name: (1.0, sigma) for name in plan.gaussian_class_counts()}
+
+def _tail_epsilon(values: np.ndarray, delta: float) -> float:
+    orders = np.arange(1, values.shape[0] + 1)
+    return float(((values + math.log(1.0 / delta)) / orders).min())
 
 
 def ma_total_moment(plan: CompositionPlan, eps_i: float,
@@ -203,18 +247,8 @@ def ma_total_moment(plan: CompositionPlan, eps_i: float,
     ``sigma_by_param`` maps a parameter class to its (sensitivity, sigma)
     pair; omit it to assume minimally-calibrated sigmas.
     """
-    if sigma_by_param is None:
-        sigma_by_param = _unit_sigma_pairs(plan, eps_i)
-    orders = np.arange(1, max_order + 1)
-    total = np.zeros(max_order)
-    if plan.n_laplace:
-        total += plan.n_laplace * laplace_moment(orders, eps_i)
-    for name, count in plan.gaussian_class_counts().items():
-        if count == 0:
-            continue
-        sens, sigma = sigma_by_param[name]
-        total += count * gaussian_moment(orders, sens, sigma)
-    return MomentCurve(total)
+    return MomentCurve(_moment_curve(plan.charges(eps_i, sigma_by_param),
+                                     max_order))
 
 
 def ma_tail_epsilon(curve: MomentCurve, delta: float) -> float:
@@ -225,68 +259,7 @@ def ma_tail_epsilon(curve: MomentCurve, delta: float) -> float:
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    orders = curve.orders
-    eps = (curve.values + math.log(1.0 / delta)) / orders
-    return float(eps.min())
-
-
-# ---------------------------------------------------------------------------
-# composition (forward direction)
-
-
-def linear_compose(plan: CompositionPlan, eps_i: float) -> PrivacyBudget:
-    """Budgets add up: (J(2K+1) eps_i, n_gaussian * delta_i)."""
-    if eps_i < 0:
-        raise ValueError("eps_i must be nonnegative")
-    return PrivacyBudget(plan.n_mechanisms * eps_i,
-                         plan.n_gaussian * plan.delta_i)
-
-
-def advanced_compose(plan: CompositionPlan, eps_i: float,
-                     slack: float) -> PrivacyBudget:
-    """Advanced composition over m = J(2K+1) releases with slack delta'."""
-    if eps_i < 0:
-        raise ValueError("eps_i must be nonnegative")
-    if not 0.0 < slack < 1.0:
-        raise ValueError("slack must lie in (0, 1)")
-    m = plan.n_mechanisms
-    eps = (m * eps_i * (math.exp(eps_i) - 1.0)
-           + math.sqrt(2.0 * m * math.log(1.0 / slack)) * eps_i)
-    return PrivacyBudget(eps, slack + plan.n_gaussian * plan.delta_i)
-
-
-def gaussian_rho(eps_i: float, delta_i: float) -> float:
-    """zCDP cost of one minimally-calibrated Gaussian release.
-
-    With sigma = sens sqrt(2 log(1.25/delta_i))/eps_i the cost
-    sens^2/(2 sigma^2) collapses to eps_i^2 / (4 log(1.25/delta_i))
-    independently of the sensitivity.
-    """
-    return eps_i ** 2 / (4.0 * math.log(1.25 / delta_i))
-
-
-def zcdp_rho(plan: CompositionPlan, eps_i: float,
-             sigma_by_param: dict[str, tuple[float, float]] | None = None) -> float:
-    """Total zCDP parameter of the schedule.
-
-    Laplace releases contribute eps_i^2/2 each; Gaussian releases contribute
-    sens^2/(2 sigma^2), itemized per parameter class.
-    """
-    if eps_i < 0:
-        raise ValueError("eps_i must be nonnegative")
-    rho = plan.n_laplace * 0.5 * eps_i ** 2
-    counts = plan.gaussian_class_counts()
-    if sigma_by_param is None:
-        rho += sum(counts.values()) * gaussian_rho(eps_i, plan.delta_i)
-    else:
-        for name, count in counts.items():
-            if count == 0:
-                continue
-            sens, sigma = sigma_by_param[name]
-            if sens == 0:
-                continue
-            rho += count * sens ** 2 / (2.0 * sigma ** 2)
-    return rho
+    return _tail_epsilon(curve.values, delta)
 
 
 def zcdp_to_dp(rho: float, delta: float) -> float:
@@ -299,18 +272,111 @@ def zcdp_to_dp(rho: float, delta: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# calibration (inverse direction)
+# the composition engine
 
 
-def _bisect_max_eps_i(feasible, hi_cap: float = EPS_I_HI) -> float:
-    """Largest eps_i in [EPS_I_LO, hi_cap] passing ``feasible`` (monotone)."""
-    lo, hi = EPS_I_LO, hi_cap
+def compose(charges: list[tuple], method: str, delta: float,
+            slack: Optional[float] = None,
+            max_order: int = DEFAULT_MAX_ORDER) -> PrivacyBudget:
+    """Total (epsilon, delta) spend of a list of charges under ``method``.
+
+    linear: the eps_i labels and the Gaussian delta_i add up. advanced: m
+    releases of one uniform eps_i with slack delta' (default: what ``delta``
+    leaves after the Gaussian delta_i mass). zCDP: the rho add up and convert
+    to DP at ``delta``. Moments accountant: the log moments add up, the
+    Gaussian delta_i mass is accounted additively and the Markov tail is
+    evaluated at the remaining delta. No charges spend nothing.
+    """
+    if method not in METHODS:
+        raise ValueError(f"method must be one of {METHODS}")
+    if not charges:
+        return PrivacyBudget(0.0, 0.0)
+    if method == "zcdp":
+        return PrivacyBudget(zcdp_to_dp(charge_rho(charges), delta), delta)
+    gauss_delta = charge_delta(charges)
+    if method == "linear":
+        return PrivacyBudget(sum(count * eps_i for _, eps_i, _, _, count in charges),
+                             gauss_delta)
+    rest = slack if method == "advanced" and slack is not None else delta - gauss_delta
+    if rest <= 0:
+        raise UnattainableBudgetError(
+            f"delta budget {delta} leaves no slack after the Gaussian "
+            f"mass {gauss_delta}")
+    if method == "ma":
+        return PrivacyBudget(_tail_epsilon(_moment_curve(charges, max_order), rest),
+                             delta)
+    eps_set = {eps_i for _, eps_i, _, _, count in charges if count}
+    if len(eps_set) > 1:
+        raise ValueError("advanced composition needs a uniform eps_i")
+    eps_i = max(eps_set, default=0.0)
+    m = sum(count for *_, count in charges)
+    eps = (m * eps_i * (math.exp(eps_i) - 1.0)
+           + math.sqrt(2.0 * m * math.log(1.0 / rest)) * eps_i)
+    return PrivacyBudget(eps, rest + gauss_delta)
+
+
+def compose_trace(trace: AccountingTrace, method: str, delta: float,
+                  slack: Optional[float] = None,
+                  max_order: int = DEFAULT_MAX_ORDER) -> PrivacyBudget:
+    """Recompose a recorded trace into a total (epsilon, delta) spend.
+
+    The audit runs the same :func:`compose` as calibration, on the records
+    actually released rather than on the plan. Linear and advanced read each
+    record's ``eps_i`` label (and a Gaussian record's ``delta_i``). zCDP and
+    the moments accountant read ``TraceRecord.zcdp_rho``, sensitivity^2/
+    (2 beta) for a Gaussian record; the moments accountant reads a Laplace
+    record's ``eps_i``. Records are charged per group
+    (``AccountingTrace.charges``): a parallel group, e.g. the k centroids of
+    one k-means iteration, reads disjoint cells of the data, so a
+    neighbouring pair moves one member's input and the group costs its most
+    expensive member. Every other record is a group of one.
+    """
+    return compose(trace.charges(), method, delta, slack, max_order)
+
+
+def zcdp_rho(plan: CompositionPlan, eps_i: float,
+             sigma_by_param: dict[str, tuple[float, float]] | None = None) -> float:
+    """Total zCDP parameter of the schedule.
+
+    Laplace releases contribute eps_i^2/2 each; Gaussian releases contribute
+    sens^2/(2 sigma^2), itemized per parameter class.
+    """
+    return charge_rho(plan.charges(eps_i, sigma_by_param))
+
+
+def linear_compose(plan: CompositionPlan, eps_i: float) -> PrivacyBudget:
+    """Budgets add up: (J(2K+1) eps_i, n_gaussian * delta_i)."""
+    return compose(plan.charges(eps_i), "linear", 0.0)
+
+
+def advanced_compose(plan: CompositionPlan, eps_i: float,
+                     slack: float) -> PrivacyBudget:
+    """Advanced composition over m = J(2K+1) releases with slack delta'."""
+    if not 0.0 < slack < 1.0:
+        raise ValueError("slack must lie in (0, 1)")
+    return compose(plan.charges(eps_i), "advanced", 0.0, slack)
+
+
+# ---------------------------------------------------------------------------
+# calibration: the largest eps_i whose composed schedule fits the budget
+
+
+def _search(charges_at: Callable[[float], list[tuple]], method: str,
+            total: PrivacyBudget, slack: Optional[float] = None,
+            max_order: int = DEFAULT_MAX_ORDER) -> float:
+    """Bisect for the largest eps_i in [EPS_I_LO, EPS_I_HI] whose charges
+    compose inside ``total`` (the spend grows with eps_i)."""
+    def feasible(eps_i: float) -> bool:
+        spend = compose(charges_at(eps_i), method, total.delta, slack, max_order)
+        return (spend.epsilon <= total.epsilon
+                and spend.delta <= total.delta * (1 + 1e-12))
+
+    lo, hi = EPS_I_LO, EPS_I_HI
     if feasible(hi):
         return hi
     if not feasible(lo):
         raise UnattainableBudgetError(
-            "budget unattainable even at the smallest per-iteration eps"
-        )
+            "budget unattainable even at the smallest per-iteration eps")
     while hi - lo > SEARCH_REL_TOL * lo:
         mid = 0.5 * (lo + hi)
         if feasible(mid):
@@ -320,172 +386,68 @@ def _bisect_max_eps_i(feasible, hi_cap: float = EPS_I_HI) -> float:
     return lo
 
 
-def linear_calibrate(plan: CompositionPlan, total: PrivacyBudget) -> float:
-    """Invert linear composition: eps_i = eps / (J(2K+1)).
-
-    Capped at the Gaussian validity ceiling; a capped schedule spends less
-    than the budget, never more.
-    """
+def _calibrate(plan: CompositionPlan, method: str, total: PrivacyBudget,
+               max_order: int = DEFAULT_MAX_ORDER) -> float:
     _require_strict(total)
-    if plan.n_mechanisms == 0:
-        raise ValueError("empty plan")
-    if plan.n_gaussian * plan.delta_i > total.delta:
-        raise UnattainableBudgetError(
-            f"delta budget {total.delta} below the Gaussian mass "
-            f"{plan.n_gaussian * plan.delta_i}"
-        )
-    return min(total.epsilon / plan.n_mechanisms, EPS_I_HI)
-
-
-def _default_slack(plan: CompositionPlan, total: PrivacyBudget) -> float:
-    slack = total.delta - plan.n_gaussian * plan.delta_i
-    if slack <= 0:
-        raise UnattainableBudgetError(
-            f"delta budget {total.delta} leaves no slack after the Gaussian "
-            f"mass {plan.n_gaussian * plan.delta_i}"
-        )
-    return slack
-
-
-def advanced_calibrate(plan: CompositionPlan, total: PrivacyBudget) -> float:
-    """Largest eps_i whose advanced composition stays inside the budget.
-
-    The slack defaults to whatever delta remains after the Gaussian
-    mechanisms' own delta_i mass.
-    """
-    _require_strict(total)
-    slack = plan.advanced_slack if plan.advanced_slack is not None \
-        else _default_slack(plan, total)
-    if slack + plan.n_gaussian * plan.delta_i > total.delta * (1 + 1e-12):
-        raise UnattainableBudgetError("slack plus Gaussian delta mass exceeds delta")
-
-    def feasible(eps_i: float) -> bool:
-        return advanced_compose(plan, eps_i, slack).epsilon <= total.epsilon
-
-    return _bisect_max_eps_i(feasible)
-
-
-def zcdp_calibrate(plan: CompositionPlan, total: PrivacyBudget) -> float:
-    """Largest eps_i whose zCDP recomposition stays inside the budget."""
-    _require_strict(total)
-
-    def feasible(eps_i: float) -> bool:
-        return zcdp_to_dp(zcdp_rho(plan, eps_i), total.delta) <= total.epsilon
-
-    return _bisect_max_eps_i(feasible)
-
-
-def zcdp_calibrate_pure(n_mechanisms: int, total: PrivacyBudget) -> float:
-    """Largest eps_i for n pure-DP releases under zCDP composition.
-
-    Each release costs eps_i^2/2 in rho; used by the private k-means
-    variants where every release is Laplace.
-    """
-    _require_strict(total)
-    if n_mechanisms < 1:
-        raise ValueError("need at least one mechanism")
-
-    def feasible(eps_i: float) -> bool:
-        rho = n_mechanisms * 0.5 * eps_i ** 2
-        return zcdp_to_dp(rho, total.delta) <= total.epsilon
-
-    return _bisect_max_eps_i(feasible)
-
-
-def ma_calibrate(plan: CompositionPlan, total: PrivacyBudget,
-                 max_order: int = DEFAULT_MAX_ORDER) -> float:
-    """Largest eps_i whose moments-accountant tail stays inside the budget.
-
-    The Gaussian mechanisms' delta_i mass is accounted additively outside
-    the moment bound, so the tail is evaluated at delta - n_gaussian*delta_i.
-    """
-    _require_strict(total)
-    delta_ma = _default_slack(plan, total)
-    floor = math.log(1.0 / delta_ma) / max_order
-    if floor > total.epsilon:
+    mass = plan.n_gaussian * plan.delta_i
+    if method == "linear":
+        # closed form, capped at the Gaussian validity ceiling; a capped
+        # schedule spends less than the budget, never more
+        if plan.n_mechanisms == 0:
+            raise ValueError("empty plan")
+        if mass > total.delta:
+            raise UnattainableBudgetError(
+                f"delta budget {total.delta} below the Gaussian mass {mass}")
+        return min(total.epsilon / plan.n_mechanisms, EPS_I_HI)
+    rest = total.delta - mass
+    if method == "ma" and rest > 0 and math.log(1.0 / rest) / max_order > total.epsilon:
         raise UnattainableBudgetError(
             f"tail bound cannot reach eps={total.epsilon:.4g} with "
             f"max_order={max_order}; needs at least "
-            f"{math.ceil(math.log(1.0 / delta_ma) / total.epsilon)} orders"
+            f"{math.ceil(math.log(1.0 / rest) / total.epsilon)} orders"
         )
-
-    def feasible(eps_i: float) -> bool:
-        curve = ma_total_moment(plan, eps_i, max_order=max_order)
-        return ma_tail_epsilon(curve, delta_ma) <= total.epsilon
-
-    return _bisect_max_eps_i(feasible)
+    return _search(plan.charges, method, total, plan.advanced_slack, max_order)
 
 
 def calibrate(plan: CompositionPlan, total: PrivacyBudget,
               max_order: int = DEFAULT_MAX_ORDER) -> float:
-    """Dispatch to the plan's composition method."""
-    if plan.method == "linear":
-        return linear_calibrate(plan, total)
-    if plan.method == "advanced":
-        return advanced_calibrate(plan, total)
-    if plan.method == "zcdp":
-        return zcdp_calibrate(plan, total)
-    return ma_calibrate(plan, total, max_order=max_order)
+    """Largest eps_i whose composition under ``plan.method`` fits ``total``.
 
-
-# ---------------------------------------------------------------------------
-# trace audit
-
-
-def compose_trace(trace: AccountingTrace, method: str, delta: float,
-                  slack: Optional[float] = None,
-                  max_order: int = DEFAULT_MAX_ORDER) -> PrivacyBudget:
-    """Recompose a recorded trace into a total (epsilon, delta) spend.
-
-    This is the audit path: it works from the per-record sensitivities and
-    scales actually used, not from the plan that produced them.
-
-    Records are charged per group (``AccountingTrace.groups``). A parallel
-    group reads disjoint cells of the data, e.g. the k centroids of one
-    k-means iteration, so a neighbouring pair moves only one member's input
-    and the group is charged once, at its most expensive member: the
-    largest eps_i (linear), one mechanism in m (advanced), the largest rho
-    (zCDP), the per-order maximum of the members' log moments (moments
-    accountant). Every other record is a group of one.
+    Linear composition inverts in closed form, eps / J(2K+1). The other
+    methods bisect over ``compose(plan.charges(eps_i), ...)``; advanced
+    composition takes the plan's slack, by default the delta left after the
+    Gaussian delta_i mass, and the moments accountant evaluates its tail at
+    that remaining delta.
     """
-    if method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}")
-    if len(trace) == 0:
-        return PrivacyBudget(0.0, 0.0)
-    groups = trace.groups()
-    gauss_delta = trace.gaussian_delta()
-    if method == "linear":
-        return PrivacyBudget(sum(max(r.eps_i for r in g) for g in groups),
-                             gauss_delta)
-    if method == "advanced":
-        eps_set = {max(r.eps_i for r in g) for g in groups}
-        if len(eps_set) != 1:
-            raise ValueError("advanced composition audit needs a uniform eps_i")
-        eps_i = eps_set.pop()
-        m = len(groups)
-        if slack is None:
-            slack = delta - gauss_delta
-        if slack <= 0:
-            raise UnattainableBudgetError("no delta slack left for composition")
-        eps = (m * eps_i * (math.exp(eps_i) - 1.0)
-               + math.sqrt(2.0 * m * math.log(1.0 / slack)) * eps_i)
-        return PrivacyBudget(eps, slack + gauss_delta)
-    if method == "zcdp":
-        return PrivacyBudget(zcdp_to_dp(trace.total_rho(), delta), delta)
-    # moments accountant
-    delta_ma = delta - gauss_delta
-    if delta_ma <= 0:
-        raise UnattainableBudgetError("no delta mass left for the tail bound")
-    orders = np.arange(1, max_order + 1)
-    curve_vals = np.zeros(max_order)
-    for g in groups:
-        curve_vals += np.max([_record_moment(r, orders) for r in g], axis=0)
-    eps = ma_tail_epsilon(MomentCurve(curve_vals), delta_ma)
-    return PrivacyBudget(eps, delta)
+    return _calibrate(plan, plan.method, total, max_order)
 
 
-def _record_moment(record: TraceRecord, orders: np.ndarray) -> np.ndarray:
-    """Log moments of one recorded release at the given orders."""
-    if record.kind == "laplace":
-        return laplace_moment(orders, record.eps_i)
-    return gaussian_moment(orders, record.sensitivity, record.noise_scale)
+def linear_calibrate(plan: CompositionPlan, total: PrivacyBudget) -> float:
+    """Invert linear composition: eps / J(2K+1), capped at ``EPS_I_HI``."""
+    return _calibrate(plan, "linear", total)
+
+
+def advanced_calibrate(plan: CompositionPlan, total: PrivacyBudget) -> float:
+    """Largest eps_i whose advanced composition stays inside the budget."""
+    return _calibrate(plan, "advanced", total)
+
+
+def zcdp_calibrate(plan: CompositionPlan, total: PrivacyBudget) -> float:
+    """Largest eps_i whose zCDP recomposition stays inside the budget."""
+    return _calibrate(plan, "zcdp", total)
+
+
+def ma_calibrate(plan: CompositionPlan, total: PrivacyBudget,
+                 max_order: int = DEFAULT_MAX_ORDER) -> float:
+    """Largest eps_i whose moments-accountant tail stays inside the budget."""
+    return _calibrate(plan, "ma", total, max_order)
+
+
+def zcdp_calibrate_pure(n_mechanisms: int, total: PrivacyBudget) -> float:
+    """Largest eps_i for n pure-DP releases under zCDP composition; used by
+    the private k-means variants, where every release is Laplace."""
+    _require_strict(total)
+    if n_mechanisms < 1:
+        raise ValueError("need at least one mechanism")
+    return _search(lambda eps_i: [_laplace_charge(eps_i, n_mechanisms)],
+                   "zcdp", total)

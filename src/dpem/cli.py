@@ -25,17 +25,18 @@ import numpy as np
 
 from . import dataio
 from .accountant import (
+    DEFAULT_MAX_ORDER,
     CompositionPlan,
     PrivacyBudget,
     calibrate,
     compose_trace,
-    gaussian_sigma,
 )
 from .data import BoundedDataset, preprocess
 from .dpem_mog import DpEmConfig, run_dpem_mog
 from .errors import DataError, DpemError, UnattainableBudgetError
 from .fa import fa_average_log_likelihood, perturb_second_moment, run_fa_em, second_moment
 from .kmeans import dplloyd, dpem_kmeans, lloyd, nicv
+from .mechanisms import gaussian_sigma
 from .mog import fit_em, log_likelihood
 
 EXIT_OK = 0
@@ -63,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cal.add_argument("--scenario", choices=("llg", "ggg"), default="ggg")
     cal.add_argument("--method",
                      choices=MOG_METHODS + ("all",), default="all")
-    cal.add_argument("--max-order", type=int, default=64,
+    cal.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER,
                      help="largest moment order for the MA tail bound")
     cal.add_argument("--n", type=int, default=None,
                      help="dataset size, for concrete noise scales "
@@ -99,7 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--seeds", type=int, default=1,
                      help="independent noise seeds per cell")
     fit.add_argument("--seed", type=int, default=0, help="master seed")
-    fit.add_argument("--max-order", type=int, default=512)
+    fit.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER)
     fit.add_argument("--jobs", type=int, default=1)
     fit.add_argument("--out", type=str, required=True)
     return parser
@@ -179,14 +180,12 @@ def _run_cell(task: dict):
     eps = task["eps"]
     delta = task["delta"]
     method = task["method"]
-    audited = (0.0, 0.0)
+    audit_method = None  # the composition each private branch audits under
 
     if model == "mog":
         if method == "baseline":
             params = fit_em(train, task["k"], task["iters"],
                             estimator=task["estimator"], seed=cell_seed)
-            metric = log_likelihood(test, params) / test.n
-            n_mech = 0
         else:
             cfg = DpEmConfig(
                 components=task["k"], iterations=task["iters"],
@@ -195,54 +194,46 @@ def _run_cell(task: dict):
                 estimator=task["estimator"], seed=cell_seed,
                 max_order=task["max_order"])
             params, trace = run_dpem_mog(train, cfg)
-            metric = log_likelihood(test, params) / test.n
-            n_mech = len(trace)
-            spend = compose_trace(trace, method, delta,
-                                  max_order=task["max_order"])
-            audited = (spend.epsilon, spend.delta)
+            audit_method = method
+        metric = log_likelihood(test, params) / test.n
         metric_name = "test_loglik_per_point"
     elif model == "fa":
         mom = second_moment(train)
         if method == "baseline":
             params = run_fa_em(mom, task["q"])
-            n_mech = 0
         else:
             rng = np.random.default_rng(cell_seed)
             noised, trace = perturb_second_moment(
                 mom, PrivacyBudget(eps, delta), rng)
             params = run_fa_em(noised, task["q"])
-            n_mech = len(trace)
-            spend = compose_trace(trace, "linear", delta)
-            audited = (spend.epsilon, spend.delta)
+            audit_method = "linear"
         metric = fa_average_log_likelihood(second_moment(test), params)
         metric_name = "test_loglik_per_point"
     else:  # kmeans
         rng = np.random.default_rng(cell_seed)
         if method == "baseline":
             clustering = lloyd(train, task["k"], task["iters"], rng)
-            n_mech = 0
         elif method == "dplloyd-linear":
             clustering, trace = dplloyd(train, task["k"], task["iters"], eps,
                                         composition="linear", rng=rng)
-            n_mech = len(trace)
-            spend = compose_trace(trace, "linear", delta)
-            audited = (spend.epsilon, spend.delta)
+            audit_method = "linear"
         elif method == "dplloyd-zcdp":
             clustering, trace = dplloyd(train, task["k"], task["iters"], eps,
                                         composition="zcdp", delta=delta, rng=rng)
-            n_mech = len(trace)
-            spend = compose_trace(trace, "zcdp", delta)
-            audited = (spend.epsilon, spend.delta)
+            audit_method = "zcdp"
         else:  # dpem
             clustering, trace = dpem_kmeans(train, task["k"], task["iters"],
                                             PrivacyBudget(eps, delta), rng)
-            n_mech = len(trace)
-            spend = compose_trace(trace, "zcdp", delta)
-            audited = (spend.epsilon, spend.delta)
+            audit_method = "zcdp"
         metric = nicv(test, clustering.centers)
         metric_name = "nicv"
 
-    if method != "baseline":
+    n_mech, audited = 0, (0.0, 0.0)
+    if audit_method is not None:
+        n_mech = len(trace)
+        spend = compose_trace(trace, audit_method, delta,
+                              max_order=task["max_order"])
+        audited = (spend.epsilon, spend.delta)
         if audited[0] > eps + AUDIT_SLACK or audited[1] > delta + AUDIT_SLACK:
             raise DpemError(
                 f"spend audit failed: ({audited[0]}, {audited[1]}) exceeds "

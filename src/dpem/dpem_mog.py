@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .accountant import CompositionPlan, PrivacyBudget, calibrate
+from .accountant import DEFAULT_MAX_ORDER, CompositionPlan, PrivacyBudget, calibrate
 from .data import BoundedDataset
 from .errors import DataError
 from .mechanisms import (
@@ -46,7 +46,7 @@ class DpEmConfig:
     estimator: str = "map"
     prior: Optional[MapPrior] = None
     seed: Optional[int] = None
-    max_order: int = 64
+    max_order: int = DEFAULT_MAX_ORDER
     psd_floor: float = PSD_FLOOR
     count_floor: float = COUNT_FLOOR
     disable_noise: bool = False  # testing only: forces every noise scale to 0

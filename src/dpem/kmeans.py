@@ -33,10 +33,7 @@ import numpy as np
 from .accountant import PrivacyBudget, zcdp_calibrate_pure
 from .data import BoundedDataset
 from .errors import DataError
-from .mechanisms import AccountingTrace, TraceRecord
-
-# Noised cluster counts are clamped here before dividing by them.
-COUNT_FLOOR = 1.0
+from .mechanisms import COUNT_FLOOR, AccountingTrace, TraceRecord
 
 
 @dataclass(frozen=True)

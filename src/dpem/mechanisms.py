@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import DataError
 
-# Noised per-component counts are clamped here before they enter a
-# sensitivity denominator (one effective datapoint).
+# Noised mixture-component and cluster counts are clamped here before they
+# enter a sensitivity denominator (one effective datapoint).
 COUNT_FLOOR = 1.0
 
 
@@ -162,19 +162,49 @@ class AccountingTrace:
             groups.setdefault(key, []).append(r)
         return list(groups.values())
 
+    def charges(self) -> list[tuple]:
+        """One charge (kind, eps_i, delta_i, rho, count=1) per group.
+
+        A group is charged at its most expensive member: the largest eps_i
+        label, Gaussian delta_i and ``zcdp_rho``. A group mixing Laplace and
+        Gaussian members has no such member under the moments accountant
+        (neither log moment bounds the other at every order) and is refused.
+        """
+        out = []
+        for g in self.groups():
+            r = g[0]
+            if len(g) == 1:
+                delta_i = r.delta_i if r.kind == "gaussian" else None
+                out.append((r.kind, r.eps_i, delta_i, r.zcdp_rho(), 1))
+                continue
+            if any(m.kind != r.kind for m in g):
+                raise ValueError("a parallel group mixes Laplace and Gaussian releases")
+            deltas = [m.delta_i for m in g if m.delta_i is not None]
+            out.append((r.kind, max(m.eps_i for m in g),
+                        max(deltas) if r.kind == "gaussian" and deltas else None,
+                        max(m.zcdp_rho() for m in g), 1))
+        return out
+
     def gaussian_delta(self) -> float:
         """delta_i mass of the Gaussian releases, charged once per group."""
-        masses = ([r.delta_i for r in g
-                   if r.kind == "gaussian" and r.delta_i is not None]
-                  for g in self.groups())
-        return sum(max(m) for m in masses if m)
+        return charge_delta(self.charges())
 
     def total_rho(self) -> float:
         """zCDP cost of the run, charged once per group."""
-        return sum(max(r.zcdp_rho() for r in g) for g in self.groups())
+        return charge_rho(self.charges())
 
     def flagged(self) -> list[TraceRecord]:
         return [r for r in self.records if r.flagged]
+
+
+def charge_rho(charges: list[tuple]) -> float:
+    """zCDP cost of a list of charges."""
+    return sum(count * rho for _, _, _, rho, count in charges)
+
+
+def charge_delta(charges: list[tuple]) -> float:
+    """delta_i mass of a list of charges (Laplace charges carry None)."""
+    return sum(count * d for _, _, d, _, count in charges if d is not None)
 
 
 def _draw(kind: str, scale: float, size, rng: np.random.Generator) -> np.ndarray:

@@ -11,6 +11,7 @@ from dpem.accountant import (
     advanced_calibrate,
     advanced_compose,
     calibrate,
+    compose,
     compose_trace,
     gaussian_moment,
     laplace_moment,
@@ -435,8 +436,8 @@ def test_compose_trace_charges_parallel_group_once():
     orders = np.arange(1, 65)
     curve = MomentCurve(laplace_moment(orders, 0.2)
                         + laplace_moment(orders, 0.3))
-    assert compose_trace(trace, "ma", 1e-4).epsilon == pytest.approx(
-        ma_tail_epsilon(curve, 1e-4))
+    assert compose_trace(trace, "ma", 1e-4, max_order=64).epsilon == \
+        pytest.approx(ma_tail_epsilon(curve, 1e-4))
     uniform = AccountingTrace([TraceRecord("laplace", 1.0, 5.0, 0.2, None,
                                            "counts", 0)] + [
         TraceRecord("laplace", 1.0, 5.0, 0.2, None, "centroid", 0,
@@ -446,6 +447,41 @@ def test_compose_trace_charges_parallel_group_once():
     assert spent.epsilon == pytest.approx(
         m * 0.2 * (math.exp(0.2) - 1.0)
         + math.sqrt(2.0 * m * math.log(1e4)) * 0.2)
+
+
+def test_zcdp_and_ma_audits_read_the_same_gaussian_rho():
+    # both read TraceRecord.zcdp_rho, sens^2/(2 beta); noise_scale is not read
+    orders = np.arange(1, 65)
+    rec = TraceRecord("gaussian", 2.0, 1.0, 0.5, 1e-6, "cov", 0, beta=16.0)
+    trace = AccountingTrace([rec])
+    assert rec.zcdp_rho() == 0.125
+    z = compose_trace(trace, "zcdp", 1e-4)
+    assert z.epsilon == pytest.approx(zcdp_to_dp(0.125, 1e-4), rel=1e-15)
+    ma = compose_trace(trace, "ma", 1e-4, max_order=64)
+    curve = MomentCurve(gaussian_moment(orders, 2.0, 4.0))
+    assert ma.epsilon == pytest.approx(ma_tail_epsilon(curve, 1e-4 - 1e-6),
+                                       rel=1e-12)
+    # a Gaussian record without beta has no finite rho, under either method
+    bare = AccountingTrace([TraceRecord("gaussian", 2.0, 4.0, 0.5, 1e-6,
+                                        "cov", 0)])
+    assert compose_trace(bare, "zcdp", 1e-4).epsilon == math.inf
+    assert compose_trace(bare, "ma", 1e-4).epsilon == math.inf
+
+
+def test_compose_plan_charges_match_the_plan_formulas():
+    plan = llg(4, 3, "advanced", delta_i=1e-7)
+    eps_i, delta = 0.05, 1e-4
+    charges = plan.charges(eps_i)
+    assert [c[-1] for c in charges] == [plan.n_laplace, plan.n_gaussian]
+    assert compose(charges, "linear", delta) == linear_compose(plan, eps_i)
+    assert compose(charges, "zcdp", delta).epsilon == zcdp_to_dp(
+        zcdp_rho(plan, eps_i), delta)
+    slack = delta - plan.n_gaussian * plan.delta_i
+    assert compose(charges, "advanced", delta) == advanced_compose(
+        plan, eps_i, slack)
+    curve = ma_total_moment(plan, eps_i, max_order=128)
+    assert compose(charges, "ma", delta, max_order=128).epsilon == \
+        ma_tail_epsilon(curve, slack)
 
 
 def test_compose_trace_empty():
@@ -458,3 +494,10 @@ def test_calibrate_dispatch():
     assert calibrate(ggg(10, 3, "linear"), total) == pytest.approx(1.0 / 70)
     assert calibrate(ggg(10, 3, "zcdp"), total) == pytest.approx(
         zcdp_calibrate(ggg(10, 3), total))
+
+
+def test_package_exports_the_engine_but_not_its_modules():
+    import dpem
+    assert dpem.compose is compose and "compose" in dpem.__all__
+    assert "accountant" not in dpem.__all__
+    assert dpem.accountant.compose_trace is compose_trace

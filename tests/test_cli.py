@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from dpem.accountant import CompositionPlan, PrivacyBudget, calibrate
 from dpem.cli import main
 from dpem.dataio import write_csv
 
@@ -51,6 +52,20 @@ def test_calibrate_unattainable_exits_3(capsys):
                     "--iters", "10", "--components", "3",
                     "--method", "ma", "--max-order", "16"])
     assert code == 3
+
+
+def test_calibrate_ma_default_order_reaches_small_budgets(capsys):
+    # eps=0.1 at delta=1e-4 needs about 105 orders; the default of 512 covers
+    # it, as it does for `dpem fit`
+    code = run_cli(["calibrate", "--eps", "0.1", "--delta", "1e-4",
+                    "--iters", "10", "--components", "3", "--method", "ma"])
+    assert code == 0
+    out = capsys.readouterr().out
+    line = [l for l in out.splitlines() if l.strip().startswith("ma")][0]
+    plan = CompositionPlan(scenario="ggg", iterations=10, components=3,
+                           delta_i=1e-6, method="ma")
+    want = calibrate(plan, PrivacyBudget(0.1, 1e-4), max_order=512)
+    assert line.split()[1] == f"{want:.8g}"
 
 
 def test_bad_flags_exit_2():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dpem.accountant import PrivacyBudget, compose_trace
+from dpem.accountant import PrivacyBudget, calibrate, compose, compose_trace
 from dpem.data import BoundedDataset, preprocess
 from dpem.dataio import synth_mog
 from dpem.dpem_mog import DpEmConfig, run_dpem_mog
@@ -63,6 +63,22 @@ def test_spend_audit_within_budget(method, scenario):
     spent = compose_trace(trace, method, cfg.total.delta, max_order=256)
     assert spent.epsilon <= cfg.total.epsilon + 1e-9
     assert spent.delta <= cfg.total.delta + 1e-12
+
+
+@pytest.mark.parametrize("method", ["linear", "advanced", "zcdp", "ma"])
+@pytest.mark.parametrize("scenario", ["llg", "ggg"])
+def test_audit_equals_calibration(method, scenario):
+    # the audit of a run and the composition its calibration searched over
+    # are the same engine on the same charges
+    data = planted(n=500)
+    cfg = cfg_for(data, method=method, scenario=scenario, iterations=3)
+    eps_i = calibrate(cfg.plan(), cfg.total, max_order=cfg.max_order)
+    _, trace = run_dpem_mog(data, cfg)
+    assert {r.eps_i for r in trace} == {eps_i}
+    audited = compose_trace(trace, method, cfg.total.delta)
+    planned = compose(cfg.plan().charges(eps_i), method, cfg.total.delta)
+    assert audited.epsilon == pytest.approx(planned.epsilon, rel=1e-12, abs=0)
+    assert audited.delta == pytest.approx(planned.delta, rel=1e-12, abs=0)
 
 
 def test_released_params_always_valid():

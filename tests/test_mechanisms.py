@@ -251,6 +251,28 @@ def test_trace_parallel_group_charged_at_its_most_expensive_member():
                                                      + 0.4 ** 2))
 
 
+def test_trace_charges_one_per_group_at_the_costliest_member():
+    trace = AccountingTrace([TraceRecord("laplace", 1.0, 4.0, 0.25, None,
+                                         "counts", 0)])
+    for eps_i in (0.5, 0.1):
+        trace.append(TraceRecord("laplace", 1.0, 1.0 / eps_i, eps_i, None,
+                                 "centroid", 0, parallel=True))
+    trace.append(TraceRecord.from_spec(MechanismSpec("gaussian", 1.0, 2.0),
+                                       0.5, 1e-6, "cov", 0))
+    assert trace.charges() == [("laplace", 0.25, None, 0.5 * 0.25 ** 2, 1),
+                               ("laplace", 0.5, None, 0.5 * 0.5 ** 2, 1),
+                               ("gaussian", 0.5, 1e-6, 0.125, 1)]
+
+
+def test_trace_charges_refuse_a_mixed_parallel_group():
+    trace = AccountingTrace([
+        TraceRecord("laplace", 1.0, 2.0, 0.5, None, "x", 0, parallel=True),
+        TraceRecord("gaussian", 1.0, 2.0, 0.5, 1e-6, "x", 0, beta=4.0,
+                    parallel=True)])
+    with pytest.raises(ValueError, match="mixes"):
+        trace.charges()
+
+
 def test_trace_record_zcdp_rho_pure_dp_unit():
     rec = TraceRecord("laplace", 1.0, 1.0, 1.0, None, "x", 0)
     assert rec.zcdp_rho() == pytest.approx(0.5)
