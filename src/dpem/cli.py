@@ -14,7 +14,9 @@ Exit codes: 0 success, 2 bad flags, 3 unattainable budget, 4 data error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
+import multiprocessing
 import os
 import sys
 import time
@@ -47,6 +49,14 @@ EXIT_DATA = 4
 MOG_METHODS = ("linear", "advanced", "zcdp", "ma")
 KMEANS_METHODS = ("dplloyd-linear", "dplloyd-zcdp", "dpem")
 AUDIT_SLACK = 1e-9
+# Thread counts of the BLAS, OpenMP and numexpr pools. Spawned workers read
+# them before numpy loads, so each of ``--jobs N`` workers runs one thread.
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+# The (train, test) pairs of the running sweep, indexed by fold: set once per
+# worker by ``_init_worker`` so that task dicts carry no arrays.
+_SPLITS: list[tuple[BoundedDataset, BoundedDataset]] = []
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -168,12 +178,41 @@ def _load_matrix(args) -> np.ndarray:
     raise DataError("provide --data or --synth-n")
 
 
+def _init_worker(splits: list[tuple[BoundedDataset, BoundedDataset]]) -> None:
+    """Hold the sweep's splits for the ``_run_cell`` calls of this process."""
+    global _SPLITS
+    _SPLITS = splits
+
+
+@contextlib.contextmanager
+def _worker_pool(workers: int, splits: list[tuple[BoundedDataset, BoundedDataset]]):
+    """A pool of ``workers`` spawned processes, each given ``splits`` once.
+
+    While the pool lives, every variable of ``THREAD_VARS`` that the caller
+    left unset is set to ``"1"``; workers inherit it, and values the caller
+    exported are kept. Fork is not used: a forked worker inherits the BLAS
+    thread pool the parent already started, which no variable can shrink.
+    """
+    added = [var for var in THREAD_VARS if var not in os.environ]
+    for var in added:
+        os.environ[var] = "1"
+    try:
+        with ProcessPoolExecutor(max_workers=workers,
+                                 mp_context=multiprocessing.get_context("spawn"),
+                                 initializer=_init_worker,
+                                 initargs=(splits,)) as pool:
+            yield pool
+    finally:
+        for var in added:
+            os.environ.pop(var, None)
+
+
 def _run_cell(task: dict):
-    """One (method, epsilon, fold, seed) cell; must stay picklable."""
+    """One (method, epsilon, fold, seed) cell; must stay picklable. Reads its
+    split from the ones ``_init_worker`` stored in this process."""
     t0 = time.perf_counter()
     model = task["model"]
-    train = BoundedDataset(task["train"])
-    test = BoundedDataset(task["test"])
+    train, test = _SPLITS[task["fold"]]
     rng_seed = np.random.SeedSequence((task["master_seed"], task["cell_index"]))
     seed_ints = rng_seed.generate_state(1)
     cell_seed = int(seed_ints[0])
@@ -248,6 +287,10 @@ def _run_cell(task: dict):
 
 
 def cmd_fit(args) -> int:
+    if args.jobs < 1:
+        print(f"--jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+        return EXIT_FLAGS
+
     raw = _load_matrix(args)
     bounded = preprocess(raw)
     eps_list = [float(tok) for tok in args.eps_list.split(",") if tok.strip()]
@@ -272,13 +315,14 @@ def cmd_fit(args) -> int:
         splits = dataio.cv_split(bounded.rows, 10, seed=master_seed)[:1]
     else:
         splits = dataio.cv_split(bounded.rows, folds, seed=master_seed)
+    splits = [(BoundedDataset(train), BoundedDataset(test)) for train, test in splits]
     tasks = []
     cell_index = 0
     sweep_methods = list(methods) + ["baseline"]
     for method in sweep_methods:
         sweep_eps = eps_list if method != "baseline" else [math.inf]
         for eps in sweep_eps:
-            for fold, (train, test) in enumerate(splits):
+            for fold in range(len(splits)):
                 for seed in range(args.seeds):
                     tasks.append({
                         "model": args.model, "method": method, "eps": eps,
@@ -286,17 +330,21 @@ def cmd_fit(args) -> int:
                         "scenario": args.scenario, "estimator": args.estimator,
                         "k": args.k, "q": args.q, "iters": args.iters,
                         "fold": fold, "seed": seed,
-                        "train": train, "test": test,
                         "master_seed": master_seed, "cell_index": cell_index,
                         "max_order": args.max_order,
                     })
                     cell_index += 1
 
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, len(tasks))
+    if workers > 1:
+        with _worker_pool(workers, splits) as pool:
             results = list(pool.map(_run_cell, tasks, chunksize=1))
     else:
-        results = [_run_cell(task) for task in tasks]
+        _init_worker(splits)
+        try:
+            results = [_run_cell(task) for task in tasks]
+        finally:
+            _init_worker([])
     results.sort(key=lambda r: (r.method, r.epsilon, r.fold, r.seed))
 
     out = Path(args.out)

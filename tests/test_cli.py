@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dpem
+from dpem import cli
 from dpem.accountant import CompositionPlan, PrivacyBudget, calibrate
 from dpem.cli import main
 from dpem.dataio import write_csv
@@ -124,6 +130,78 @@ def test_fit_parallel_matches_serial(tmp_path):
         (tmp_path / "par" / "summary.csv").read_bytes()
     assert rows_without_timing(tmp_path / "serial" / "results.jsonl") == \
         rows_without_timing(tmp_path / "par" / "results.jsonl")
+
+
+def test_fit_jobs_below_one_exits_2(tmp_path, capsys):
+    code = run_cli(fit_args(tmp_path / "j0", extra=["--jobs", "0"]))
+    assert code == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not (tmp_path / "j0").exists()
+
+
+MODEL_SWEEPS = {
+    "mog": ["--model", "mog", "--synth-d", "2", "--synth-k", "2", "--k", "2",
+            "--iters", "2", "--method", "zcdp,ma", "--eps-list", "1,4"],
+    "fa": ["--model", "fa", "--synth-d", "4", "--synth-k", "1", "--q", "2",
+           "--eps-list", "0.3,0.5"],
+    "kmeans": ["--model", "kmeans", "--synth-d", "2", "--synth-k", "3",
+               "--k", "3", "--iters", "2", "--eps-list", "0.5,1"],
+}
+
+
+@pytest.mark.parametrize("model", sorted(MODEL_SWEEPS))
+def test_fit_module_entry_point_jobs_2_matches_jobs_1(tmp_path, model):
+    # run as `python -m dpem.cli`, the pool's functions pickle as __main__.*
+    flags = ["fit", *MODEL_SWEEPS[model], "--synth-n", "400", "--seeds", "2",
+             "--folds", "2", "--seed", "5"]
+    assert run_cli([*flags, "--out", str(tmp_path / "serial")]) == 0
+    env = dict(os.environ)
+    src = str(Path(dpem.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dpem.cli", *flags, "--jobs", "2",
+         "--out", str(tmp_path / "par")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert rows_without_timing(tmp_path / "par" / "results.jsonl") == \
+        rows_without_timing(tmp_path / "serial" / "results.jsonl")
+
+
+def test_fit_tasks_carry_no_arrays(tmp_path, monkeypatch):
+    tasks = []
+    run_cell = cli._run_cell
+
+    def spy(task):
+        tasks.append(task)
+        return run_cell(task)
+
+    monkeypatch.setattr(cli, "_run_cell", spy)
+    assert run_cli(fit_args(tmp_path / "spy", extra=["--folds", "2"])) == 0
+    assert len(tasks) == 12
+    assert not [key for task in tasks for key, value in task.items()
+                if isinstance(value, np.ndarray)]
+    assert cli._SPLITS == []
+
+
+def test_worker_pool_pins_unset_thread_variables(monkeypatch):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "3")
+    before = dict(os.environ)
+    with cli._worker_pool(1, []) as pool:
+        seen = {var: pool.submit(os.getenv, var).result(timeout=120)
+                for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                            "MKL_NUM_THREADS")}
+    assert seen == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+                    "MKL_NUM_THREADS": "3"}
+    assert dict(os.environ) == before
+
+
+def test_fit_parallel_leaves_the_environment_unchanged(tmp_path, monkeypatch):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    before = dict(os.environ)
+    assert run_cli(fit_args(tmp_path / "par", extra=["--jobs", "2"])) == 0
+    assert dict(os.environ) == before
 
 
 def test_fit_env_seed_override(tmp_path, monkeypatch):

@@ -145,6 +145,26 @@ def test_psd_project_idempotent_on_random_symmetric():
     np.testing.assert_array_equal(psd_project(once, 1e-6), once)
 
 
+def test_psd_project_idempotent_over_sizes_and_scales():
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        d = int(rng.integers(2, 11))
+        a = rng.normal(size=(d, d)) * 10.0 ** rng.uniform(-3, 3)
+        once = psd_project(0.5 * (a + a.T), 1e-6)
+        assert psd_project(once, 1e-6) is once
+
+
+def test_psd_project_decomposes_once_when_it_clamps(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda mat: calls.append("eigh") or eigh(mat))
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda mat: calls.append("eigvalsh") or eigh(mat)[0])
+    psd_project(np.diag([1.0, -0.2]), 1e-6)
+    assert calls == ["eigh"]
+
+
 # --- analyze_gauss_perturb ------------------------------------------------------
 
 
