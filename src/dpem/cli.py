@@ -287,9 +287,11 @@ def _run_cell(task: dict):
 
 
 def cmd_fit(args) -> int:
-    if args.jobs < 1:
-        print(f"--jobs must be at least 1, got {args.jobs}", file=sys.stderr)
-        return EXIT_FLAGS
+    for flag in ("jobs", "seeds", "folds"):
+        value = getattr(args, flag)
+        if value < 1:
+            print(f"--{flag} must be at least 1, got {value}", file=sys.stderr)
+            return EXIT_FLAGS
 
     raw = _load_matrix(args)
     bounded = preprocess(raw)
@@ -310,11 +312,10 @@ def cmd_fit(args) -> int:
         return EXIT_FLAGS
 
     master_seed = int(os.environ.get("DPEM_SEED", args.seed))
-    folds = max(args.folds, 1)
-    if folds == 1:
+    if args.folds == 1:
         splits = dataio.cv_split(bounded.rows, 10, seed=master_seed)[:1]
     else:
-        splits = dataio.cv_split(bounded.rows, folds, seed=master_seed)
+        splits = dataio.cv_split(bounded.rows, args.folds, seed=master_seed)
     splits = [(BoundedDataset(train), BoundedDataset(test)) for train, test in splits]
     tasks = []
     cell_index = 0

@@ -60,8 +60,12 @@ class Clustering:
 
 
 def _sq_dists(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """(N, k) squared distances."""
-    return ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    """(N, k) squared distances, accumulated one coordinate at a time so no
+    (N, k, d) array is built."""
+    out = (X[:, 0, None] - centers[None, :, 0]) ** 2
+    for j in range(1, X.shape[1]):
+        out += (X[:, j, None] - centers[None, :, j]) ** 2
+    return out
 
 
 def _assign(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -79,8 +83,8 @@ def _uniform_ball(k: int, d: int, rng: np.random.Generator) -> np.ndarray:
 def _counts_and_sums(X: np.ndarray, labels: np.ndarray,
                      k: int) -> tuple[np.ndarray, np.ndarray]:
     counts = np.bincount(labels, minlength=k).astype(float)
-    sums = np.zeros((k, X.shape[1]))
-    np.add.at(sums, labels, X)
+    sums = np.column_stack([np.bincount(labels, weights=X[:, j], minlength=k)
+                            for j in range(X.shape[1])])
     return counts, sums
 
 

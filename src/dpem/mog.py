@@ -8,8 +8,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular
-from scipy.special import logsumexp
 
 from .data import BoundedDataset
 from .errors import DegenerateComponentError, SingularCovarianceError
@@ -79,14 +77,14 @@ class Responsibilities:
             raise ValueError("gamma must be an N x K matrix")
         if (g < -1e-12).any() or (g > 1 + 1e-12).any():
             raise ValueError("responsibilities outside [0, 1]")
-        if np.abs(g.sum(axis=1) - 1.0).max() > SIMPLEX_TOL:
+        if np.abs(g @ np.ones(g.shape[1]) - 1.0).max() > SIMPLEX_TOL:
             raise ValueError("responsibility rows must sum to 1")
         object.__setattr__(self, "gamma", g)
 
     @property
     def counts(self) -> np.ndarray:
         """Soft per-component counts N_k."""
-        return self.gamma.sum(axis=0)
+        return np.ones(self.gamma.shape[0]) @ self.gamma
 
 
 @dataclass(frozen=True)
@@ -121,51 +119,85 @@ class MapPrior:
         )
 
 
-def _log_gaussian(X: np.ndarray, mean: np.ndarray, cov: np.ndarray,
-                  component: int) -> np.ndarray:
-    """Log density of N(mean, cov) at each row of X, via Cholesky."""
-    d = X.shape[1]
+def _cholesky(covs: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factors of all K covariances in one batched call.
+
+    A covariance that is not positive definite, or whose factor is not
+    finite, raises SingularCovarianceError naming its component.
+    """
     try:
-        chol = cholesky(cov, lower=True)
+        chol = np.linalg.cholesky(covs)
     except np.linalg.LinAlgError:
-        raise SingularCovarianceError(component)
-    except ValueError:
-        raise SingularCovarianceError(component)
-    diff = (X - mean).T
-    solved = solve_triangular(chol, diff, lower=True)
-    log_det = 2.0 * np.log(np.diag(chol)).sum()
-    maha = (solved ** 2).sum(axis=0)
-    return -0.5 * (d * np.log(2.0 * np.pi) + log_det + maha)
+        chol = None
+    if chol is not None and np.isfinite(chol).all():
+        return chol
+    for k, cov in enumerate(covs):
+        try:
+            factor = np.linalg.cholesky(cov)
+        except np.linalg.LinAlgError:
+            raise SingularCovarianceError(k) from None
+        if not np.isfinite(factor).all():
+            raise SingularCovarianceError(k)
+    raise RuntimeError("batched Cholesky failed but every component factors")
 
 
 def _log_joint(data: BoundedDataset, params: MoGParams) -> np.ndarray:
-    """Matrix of log(pi_k) + log N(x_i | mu_k, Sigma_k)."""
+    """Matrix of log(pi_k) + log N(x_i | mu_k, Sigma_k).
+
+    Each covariance is factored as L_k L_k^T; the whitened rows
+    L_k^{-1}(x_i - mu_k) of every component come from one GEMM of X with
+    the K inverse factors stacked side by side, minus the whitened means.
+    """
     X = data.rows
+    n, d = X.shape
     K = params.n_components
-    out = np.empty((data.n, K))
+    chol = _cholesky(params.covariances)
+    inv = np.linalg.inv(chol)  # (K, d, d) inverse factors
+    # column k*d + a of `whiten` is row a of inv[k]
+    whiten = inv.transpose(2, 0, 1).reshape(d, K * d)
+    white_means = np.einsum("kab,kb->ka", inv, params.means).reshape(K * d)
+    z = X @ whiten
+    z -= white_means
+    z *= z
+    maha = (z.reshape(n * K, d) @ np.ones(d)).reshape(n, K)
+    log_det = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)) @ np.ones(d)
     with np.errstate(divide="ignore"):
         log_w = np.log(params.weights)
-    for k in range(K):
-        out[:, k] = log_w[k] + _log_gaussian(X, params.means[k],
-                                             params.covariances[k], k)
-    return out
+    const = log_w - 0.5 * (d * np.log(2.0 * np.pi) + log_det)
+    maha *= -0.5
+    maha += const  # in place: the array now holds the log joint
+    return maha
+
+
+def _shifted_exp(log_joint: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Max-shift log-sum-exp over the K columns of each row, in place.
+
+    Overwrites ``log_joint`` with exp(log_joint - m_i) and returns the row
+    shift m_i, that array and its row sums s_i, so that
+    log sum_k exp(log_joint_ik) = m_i + log s_i. A row without a finite
+    maximum is shifted by 0, as scipy's logsumexp does.
+    """
+    shift = log_joint[:, 0].copy()
+    for k in range(1, log_joint.shape[1]):
+        np.maximum(shift, log_joint[:, k], out=shift)
+    shift[~np.isfinite(shift)] = 0.0
+    log_joint -= shift[:, None]
+    np.exp(log_joint, out=log_joint)
+    return shift, log_joint, log_joint @ np.ones(log_joint.shape[1])
 
 
 def e_step(data: BoundedDataset, params: MoGParams) -> Responsibilities:
     """Posterior membership probabilities under the current parameters."""
-    log_joint = _log_joint(data, params)
-    log_norm = logsumexp(log_joint, axis=1, keepdims=True)
-    gamma = np.exp(log_joint - log_norm)
-    # exact row normalization; exp/logsumexp leaves ~1ulp residue
-    gamma /= gamma.sum(axis=1, keepdims=True)
-    return Responsibilities(gamma)
+    _, shifted, row_sums = _shifted_exp(_log_joint(data, params))
+    shifted /= row_sums[:, None]
+    return Responsibilities(shifted)
 
 
 def log_likelihood(data: BoundedDataset, params: MoGParams) -> float:
     """Total mixture log-likelihood of the dataset (divide by N to report
     the per-datapoint value)."""
-    log_joint = _log_joint(data, params)
-    return float(logsumexp(log_joint, axis=1).sum())
+    shift, _, row_sums = _shifted_exp(_log_joint(data, params))
+    return float((np.log(row_sums) + shift).sum())
 
 
 def _check_counts(counts: np.ndarray, n: int) -> None:

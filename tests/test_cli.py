@@ -132,11 +132,32 @@ def test_fit_parallel_matches_serial(tmp_path):
         rows_without_timing(tmp_path / "par" / "results.jsonl")
 
 
+def test_cli_import_loads_no_scipy():
+    # scipy is a test dependency only; every --jobs worker pays this import
+    env = dict(os.environ)
+    src = str(Path(dpem.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import dpem.cli, sys; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
+
+
 def test_fit_jobs_below_one_exits_2(tmp_path, capsys):
     code = run_cli(fit_args(tmp_path / "j0", extra=["--jobs", "0"]))
     assert code == 2
     assert "--jobs" in capsys.readouterr().err
     assert not (tmp_path / "j0").exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--seeds", "0"), ("--folds", "-2")])
+def test_fit_counts_below_one_exit_2(tmp_path, capsys, flag, value):
+    # argparse keeps the last occurrence, so this overrides fit_args' --seeds 2
+    code = run_cli(fit_args(tmp_path / "bad", extra=[flag, value]))
+    assert code == 2
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
 
 
 MODEL_SWEEPS = {

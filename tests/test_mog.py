@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from scipy.linalg import cholesky, solve_triangular
+from scipy.special import logsumexp
 from scipy.stats import norm
 
 from dpem.data import BoundedDataset, preprocess
 from dpem.dataio import synth_mog
-from dpem.errors import DegenerateComponentError
+from dpem.errors import DegenerateComponentError, SingularCovarianceError
 from dpem.mog import (
+    PSD_FLOOR,
     MapPrior,
     MoGParams,
     Responsibilities,
@@ -72,6 +75,117 @@ def test_e_step_handles_zero_weight():
                        [np.eye(2), np.eye(2)])
     resp = e_step(data, params)
     np.testing.assert_allclose(resp.gamma[:, 0], 0.0)
+
+
+# --- numpy E-step against the per-component scipy computation -----------------
+
+
+def reference_log_joint(X, params):
+    """log(pi_k) + log N(x_i | mu_k, Sigma_k) one component at a time, with
+    scipy's Cholesky and triangular solve; also the Mahalanobis distances."""
+    n, d = X.shape
+    out = np.empty((n, params.n_components))
+    dist = np.empty_like(out)
+    for k in range(params.n_components):
+        chol = cholesky(params.covariances[k], lower=True)
+        solved = solve_triangular(chol, (X - params.means[k]).T, lower=True)
+        maha = (solved ** 2).sum(axis=0)
+        with np.errstate(divide="ignore"):
+            log_w = np.log(params.weights[k])
+        out[:, k] = log_w - 0.5 * (d * np.log(2.0 * np.pi)
+                                   + 2.0 * np.log(np.diag(chol)).sum() + maha)
+        dist[:, k] = np.sqrt(maha)
+    return out, dist
+
+
+def log_density_tolerance(X, params, dist):
+    """Bound on |numpy - scipy| for each log density, fixed from float64
+    epsilon and each covariance's condition number kappa_k.
+
+    The numpy path whitens with the inverse factor L_k^{-1}, whose relative
+    error is about d * eps * cond(L_k) = d * eps * sqrt(kappa_k); applied to
+    x_i and mu_k it errs by that times ||L_k^{-1}|| (|x_i| + |mu_k|), and the
+    log density moves by the Mahalanobis distance r_ik times that. The
+    scipy path's triangular solve and log-determinant err by about
+    d * eps * kappa_k (r_ik^2 + d). The factor 8 covers the constants.
+    """
+    eps = np.finfo(float).eps
+    d = X.shape[1]
+    eig = np.linalg.eigvalsh(params.covariances)
+    kappa = eig[:, -1] / eig[:, 0]
+    inv_norm = 1.0 / np.sqrt(eig[:, 0])
+    reach = np.linalg.norm(X, axis=1)[:, None] \
+        + np.linalg.norm(params.means, axis=1)[None, :]
+    return 8.0 * eps * d * (np.sqrt(kappa) * inv_norm * reach * (dist + 1.0)
+                            + kappa * (dist ** 2 + d))
+
+
+def random_mixture(d, K, rng):
+    """Rotated covariances with eigenvalues in [1e-2, 1], except that
+    component 1 sits wholly at the PSD floor and components 2, 5, 8 have
+    their smallest eigenvalue on it; the last component has zero weight when
+    K > 1. Means lie close together, so many rows split their
+    responsibility. Rows are drawn around each mean and uniformly in the
+    ball."""
+    covs = np.empty((K, d, d))
+    for k in range(K):
+        vals = 10.0 ** rng.uniform(-2.0, 0.0, size=d)
+        if k == 1:
+            vals[:] = PSD_FLOOR
+        elif k % 3 == 2:
+            vals[0] = PSD_FLOOR
+        q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        cov = (q * vals) @ q.T
+        covs[k] = 0.5 * (cov + cov.T)
+    means = rng.uniform(-0.2, 0.2, size=(K, d)) / np.sqrt(d)
+    weights = rng.uniform(0.5, 1.0, size=K)
+    if K > 1:
+        weights[-1] = 0.0
+    params = mk_params(weights / weights.sum(), means, covs)
+    near = np.concatenate([
+        means[k] + rng.normal(size=(20, d)) @ np.linalg.cholesky(covs[k]).T
+        for k in range(K)])
+    far = rng.uniform(-1.0, 1.0, size=(60, d)) / np.sqrt(d)
+    X = np.concatenate([near, far])
+    X /= np.maximum(np.linalg.norm(X, axis=1), 1.0)[:, None]
+    return BoundedDataset(X), params
+
+
+@pytest.mark.parametrize("K", [1, 3, 10])
+@pytest.mark.parametrize("d", [1, 2, 5, 10])
+def test_e_step_and_log_likelihood_match_scipy_reference(d, K):
+    rng = np.random.default_rng(100 * d + K)
+    data, params = random_mixture(d, K, rng)
+    log_joint, dist = reference_log_joint(data.rows, params)
+    tol = log_density_tolerance(data.rows, params, dist)
+    row_ll = logsumexp(log_joint, axis=1)
+    gamma = np.exp(log_joint - row_ll[:, None])
+    # first-order effect of the log-density errors on each responsibility,
+    # d gamma_ik = gamma_ik ((1 - gamma_ik) dl_ik - sum_{j != k} gamma_ij dl_ij),
+    # plus rounding in log_joint - row_ll and in the normalisation
+    others = (gamma * tol).sum(axis=1, keepdims=True) - gamma * tol
+    resp_tol = gamma * ((1.0 - gamma) * tol + others) \
+        + 4.0 * np.finfo(float).eps * (K + np.abs(row_ll))[:, None]
+    err = np.abs(e_step(data, params).gamma - gamma)
+    assert (err <= resp_tol).all(), float((err / resp_tol).max())
+    ll_tol = (gamma * tol).sum() \
+        + 4.0 * np.finfo(float).eps * np.log2(data.n) * np.abs(row_ll).sum()
+    assert abs(log_likelihood(data, params) - row_ll.sum()) <= ll_tol
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [
+    np.array([[1.0, 0.0], [0.0, -5e-10]]),  # passes validation at floor 0
+    np.array([[np.inf, 0.0], [0.0, 1.0]]),
+])
+def test_singular_covariance_names_its_component(bad):
+    covs = np.stack([np.eye(2), np.eye(2), bad])
+    params = MoGParams(np.full(3, 1.0 / 3), np.zeros((3, 2)), covs,
+                       psd_floor=0.0)
+    for fn in (e_step, log_likelihood):
+        with pytest.raises(SingularCovarianceError) as info:
+            fn(small_data(), params)
+        assert info.value.component == 2
 
 
 # --- m_step_mle ---------------------------------------------------------------
