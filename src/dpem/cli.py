@@ -28,6 +28,7 @@ import numpy as np
 from . import dataio
 from .accountant import (
     DEFAULT_MAX_ORDER,
+    METHODS,
     CompositionPlan,
     PrivacyBudget,
     calibrate,
@@ -46,8 +47,15 @@ EXIT_FLAGS = 2
 EXIT_BUDGET = 3
 EXIT_DATA = 4
 
-MOG_METHODS = ("linear", "advanced", "zcdp", "ma")
 KMEANS_METHODS = ("dplloyd-linear", "dplloyd-zcdp", "dpem")
+MODEL_METHODS = {"mog": METHODS, "kmeans": KMEANS_METHODS, "fa": ("one-shot",)}
+AT_LEAST_1 = (lambda v: v >= 1, "at least 1")
+IN_UNIT = (lambda v: 0 < v < 1, "in (0, 1)")
+# (test, wording) of the values each numeric flag accepts; both commands
+# exit EXIT_FLAGS on any other value before doing anything
+FLAG_RULES = {"eps": (lambda v: v > 0, "positive"), "delta": IN_UNIT, "delta_i": IN_UNIT,
+              "iters": AT_LEAST_1, "k": AT_LEAST_1, "max_order": AT_LEAST_1,
+              "jobs": AT_LEAST_1, "seeds": AT_LEAST_1, "folds": AT_LEAST_1}
 AUDIT_SLACK = 1e-9
 # Thread counts of the BLAS, OpenMP and numexpr pools. Spawned workers read
 # them before numpy loads, so each of ``--jobs N`` workers runs one thread.
@@ -73,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cal.add_argument("--components", type=int, required=True)
     cal.add_argument("--scenario", choices=("llg", "ggg"), default="ggg")
     cal.add_argument("--method",
-                     choices=MOG_METHODS + ("all",), default="all")
+                     choices=METHODS + ("all",), default="all")
     cal.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER,
                      help="largest moment order for the MA tail bound")
     cal.add_argument("--n", type=int, default=None,
@@ -142,8 +150,23 @@ def _calibrate_row(method: str, args) -> dict:
     return row
 
 
+def _flags_ok(flags: dict, eps_list: tuple = ()) -> bool:
+    """Print the first flag whose value breaks its ``FLAG_RULES`` entry, if
+    any, and say whether none did; ``eps_list`` values obey the eps rule."""
+    checks = [(f, v, FLAG_RULES[f]) for f, v in flags.items() if f in FLAG_RULES]
+    checks += [("eps_list", eps, FLAG_RULES["eps"]) for eps in eps_list]
+    for flag, value, (ok, need) in checks:
+        if not ok(value):
+            print(f"--{flag.replace('_', '-')} must be {need}, got {value}",
+                  file=sys.stderr)
+            return False
+    return True
+
+
 def cmd_calibrate(args) -> int:
-    methods = MOG_METHODS if args.method == "all" else (args.method,)
+    if not _flags_ok(vars(args)):
+        return EXIT_FLAGS
+    methods = METHODS if args.method == "all" else (args.method,)
     rows = [_calibrate_row(m, args) for m in methods]
     cols = ["method", "eps_i", "gauss_sigma_mult", "laplace_scale_mult"]
     if args.n:
@@ -252,14 +275,10 @@ def _run_cell(task: dict):
         rng = np.random.default_rng(cell_seed)
         if method == "baseline":
             clustering = lloyd(train, task["k"], task["iters"], rng)
-        elif method == "dplloyd-linear":
+        elif method.startswith("dplloyd-"):  # the suffix names the composition
+            audit_method = method.removeprefix("dplloyd-")
             clustering, trace = dplloyd(train, task["k"], task["iters"], eps,
-                                        composition="linear", rng=rng)
-            audit_method = "linear"
-        elif method == "dplloyd-zcdp":
-            clustering, trace = dplloyd(train, task["k"], task["iters"], eps,
-                                        composition="zcdp", delta=delta, rng=rng)
-            audit_method = "zcdp"
+                                        composition=audit_method, delta=delta, rng=rng)
         else:  # dpem
             clustering, trace = dpem_kmeans(train, task["k"], task["iters"],
                                             PrivacyBudget(eps, delta), rng)
@@ -287,29 +306,25 @@ def _run_cell(task: dict):
 
 
 def cmd_fit(args) -> int:
-    for flag in ("jobs", "seeds", "folds"):
-        value = getattr(args, flag)
-        if value < 1:
-            print(f"--{flag} must be at least 1, got {value}", file=sys.stderr)
-            return EXIT_FLAGS
-
-    raw = _load_matrix(args)
-    bounded = preprocess(raw)
-    eps_list = [float(tok) for tok in args.eps_list.split(",") if tok.strip()]
+    try:
+        eps_list = [float(tok) for tok in args.eps_list.split(",") if tok.strip()]
+    except ValueError:
+        print(f"--eps-list must be comma-separated numbers, got {args.eps_list!r}",
+              file=sys.stderr)
+        return EXIT_FLAGS
+    if not _flags_ok(vars(args), eps_list):
+        return EXIT_FLAGS
     if args.method is None:
-        methods = ["linear", "zcdp", "ma"] if args.model == "mog" else (
-            list(KMEANS_METHODS) if args.model == "kmeans" else ["one-shot"])
+        methods = ["linear", "zcdp", "ma"] if args.model == "mog" else list(
+            MODEL_METHODS[args.model])
     else:
         methods = [tok.strip() for tok in args.method.split(",") if tok.strip()]
-    if args.model == "mog":
-        bad = set(methods) - set(MOG_METHODS)
-    elif args.model == "kmeans":
-        bad = set(methods) - set(KMEANS_METHODS)
-    else:
-        bad = set(methods) - {"one-shot"}
+    bad = set(methods) - set(MODEL_METHODS[args.model])
     if bad:
         print(f"unknown methods for {args.model}: {sorted(bad)}", file=sys.stderr)
         return EXIT_FLAGS
+
+    bounded = preprocess(_load_matrix(args))
 
     master_seed = int(os.environ.get("DPEM_SEED", args.seed))
     if args.folds == 1:

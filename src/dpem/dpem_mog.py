@@ -1,10 +1,11 @@
 """Differentially private EM for Gaussian mixtures.
 
-Each iteration recomputes responsibilities from the previous iteration's
-released (noised) parameters, then releases weights, means and covariances
-through calibrated noise mechanisms. Denominators use the noised counts,
-so only the gamma-weighted numerator sums are data-sensitive; that is what
-the 2/N, 2 sqrt(d)/N_k and 2/N_k sensitivity bounds cover.
+Private EM is plain EM plus one release step: each iteration runs the
+E-step on the released parameters, then ``mog.m_step`` with
+``_PrivateRelease``, which noises the weights, means and covariances.
+Denominators use the noised counts, so only the gamma-weighted numerator
+sums are data-sensitive; that is what the 2/N, 2 sqrt(d)/N_k and 2/N_k
+sensitivity bounds cover.
 
 Per-iteration draw order is fixed: weights, then means 1..K, then
 covariances 1..K. One run must own its RNG stream; independent runs can go
@@ -30,12 +31,13 @@ from .mechanisms import (
     perturb_mean,
     perturb_simplex,
 )
-from .mog import PSD_FLOOR, MapPrior, MoGParams, e_step, init_params
+from .mog import PSD_FLOOR, MapPrior, MoGParams, e_step, init_params, m_step
 
 
 @dataclass(frozen=True)
 class DpEmConfig:
-    """Configuration of one private mixture fit."""
+    """Configuration of one private mixture fit. The MAP estimator uses the
+    prior ``MapPrior.default``."""
 
     components: int
     iterations: int
@@ -44,11 +46,9 @@ class DpEmConfig:
     scenario: str = "ggg"
     method: str = "zcdp"
     estimator: str = "map"
-    prior: Optional[MapPrior] = None
     seed: Optional[int] = None
     max_order: int = DEFAULT_MAX_ORDER
     psd_floor: float = PSD_FLOOR
-    count_floor: float = COUNT_FLOOR
     disable_noise: bool = False  # testing only: forces every noise scale to 0
 
     def __post_init__(self):
@@ -68,13 +68,59 @@ class DpEmConfig:
         )
 
 
-def _spec(kind: str, sensitivity: float, eps_i: float, delta_i: float,
-          disable_noise: bool) -> MechanismSpec:
-    if disable_noise:
-        return MechanismSpec(kind, sensitivity, 0.0)
-    if kind == "laplace":
-        return MechanismSpec.laplace(sensitivity, eps_i)
-    return MechanismSpec.gaussian(sensitivity, eps_i, delta_i)
+class _PrivateRelease:
+    """Private EM's release step: ``mog.m_step`` passes each statistic
+    through its calibrated noise mechanism, recorded in ``trace``.
+
+    The only place a private mixture fit builds a mechanism, draws noise,
+    floors a count or appends a trace record. ``iteration`` labels the
+    records; set it before each M-step.
+    """
+
+    def __init__(self, cfg: DpEmConfig, n: int, d: int, rng: np.random.Generator):
+        self.cfg = cfg
+        self.eps_i = float("nan") if cfg.disable_noise else calibrate(
+            cfg.plan(), cfg.total, max_order=cfg.max_order)
+        self.rng = rng
+        self.kind = "laplace" if cfg.scenario == "llg" else "gaussian"
+        self.weights_sens = 2.0 / n
+        # a mean's sensitivity times its count: L1 for Laplace, L2 for Gaussian
+        self.mean_sens = 2.0 * math.sqrt(d) if self.kind == "laplace" else 2.0
+        self.trace = AccountingTrace()
+        self.iteration = 0
+        self.floored = None
+
+    def _mechanism(self, kind: str, sensitivity: float, label: str,
+                   component: Optional[int] = None) -> MechanismSpec:
+        """The mechanism of one release, recorded in the trace."""
+        if self.cfg.disable_noise:
+            spec = MechanismSpec(kind, sensitivity, 0.0)
+        elif kind == "laplace":
+            spec = MechanismSpec.laplace(sensitivity, self.eps_i)
+        else:
+            spec = MechanismSpec.gaussian(sensitivity, self.eps_i, self.cfg.delta_i)
+        self.trace.append(TraceRecord.from_spec(
+            spec, self.eps_i, self.cfg.delta_i if kind == "gaussian" else None,
+            label, self.iteration, component=component,
+            flagged=component is not None and bool(self.floored[component])))
+        return spec
+
+    def weights(self, pi: np.ndarray) -> np.ndarray:
+        spec = self._mechanism(self.kind, self.weights_sens, "weights")
+        return perturb_simplex(pi, spec, self.rng)
+
+    def counts(self, counts: np.ndarray) -> np.ndarray:
+        # noised counts drive every later sensitivity this iteration
+        self.floored = counts < COUNT_FLOOR
+        return np.maximum(counts, COUNT_FLOOR)
+
+    def mean(self, k: int, mean: np.ndarray, denom: float) -> np.ndarray:
+        spec = self._mechanism(self.kind, self.mean_sens / denom, "mean", k)
+        return perturb_mean(mean, spec, self.rng)
+
+    def covariance(self, k: int, cov: np.ndarray, denom: float) -> np.ndarray:
+        spec = self._mechanism("gaussian", 2.0 / denom, "covariance", k)
+        return analyze_gauss_perturb(cov, spec, self.rng, self.cfg.psd_floor)
 
 
 def run_dpem_mog(data: BoundedDataset, cfg: DpEmConfig
@@ -84,92 +130,14 @@ def run_dpem_mog(data: BoundedDataset, cfg: DpEmConfig
     The trace lists every mechanism invocation (J(2K+1) records per run)
     and can be recomposed by any accounting method to audit the spend.
     """
-    n, d = data.n, data.d
     K = cfg.components
-    if n < K:
-        raise DataError(f"need at least {K} rows, got {n}")
-    prior = cfg.prior
-    if cfg.estimator == "map" and prior is None:
-        prior = MapPrior.default(K, d)
-
-    if cfg.disable_noise:
-        eps_i = float("nan")
-    else:
-        eps_i = calibrate(cfg.plan(), cfg.total, max_order=cfg.max_order)
-    pi_kind = "laplace" if cfg.scenario == "llg" else "gaussian"
-    pi_delta = None if pi_kind == "laplace" else cfg.delta_i
-    mean_kind = pi_kind
-    sqrt_d = math.sqrt(d)
-
+    if data.n < K:
+        raise DataError(f"need at least {K} rows, got {data.n}")
+    prior = MapPrior.default(K, data.d) if cfg.estimator == "map" else None
     rng = np.random.default_rng(cfg.seed)
+    release = _PrivateRelease(cfg, data.n, data.d, rng)
     params = init_params(data, K, rng, cfg.psd_floor)
-    trace = AccountingTrace()
-    X = data.rows
-
     for j in range(cfg.iterations):
-        resp = e_step(data, params)
-        gamma = resp.gamma
-        counts = resp.counts
-        first = gamma.T @ X  # (K, d) weighted sums, the sensitive numerators
-
-        # --- weights ---------------------------------------------------
-        pi_mle = counts / n
-        pi_mle = pi_mle / pi_mle.sum()
-        spec = _spec(pi_kind, 2.0 / n, eps_i, cfg.delta_i, cfg.disable_noise)
-        pi_noised = perturb_simplex(pi_mle, spec, rng)
-        trace.append(TraceRecord.from_spec(
-            spec, eps_i, pi_delta, "weights", j))
-        if cfg.estimator == "map":
-            alpha = prior.dirichlet_alpha
-            weights_out = (n * pi_noised + alpha - 1.0) / (n + alpha.sum() - K)
-            weights_out = weights_out / weights_out.sum()
-        else:
-            weights_out = pi_noised
-
-        # noised counts drive every later sensitivity this iteration
-        counts_noised = n * pi_noised
-        floored = counts_noised < cfg.count_floor
-        counts_noised = np.maximum(counts_noised, cfg.count_floor)
-
-        # --- means -----------------------------------------------------
-        means_out = np.empty((K, d))
-        for k in range(K):
-            denom = counts_noised[k] + (prior.kappa0 if cfg.estimator == "map"
-                                        else 0.0)
-            mean_k = first[k] / denom
-            sens = (2.0 * sqrt_d / denom) if mean_kind == "laplace" \
-                else (2.0 / denom)
-            spec = _spec(mean_kind, sens, eps_i, cfg.delta_i, cfg.disable_noise)
-            means_out[k] = perturb_mean(mean_k, spec, rng)
-            trace.append(TraceRecord.from_spec(
-                spec, eps_i, pi_delta, "mean", j, component=k,
-                flagged=bool(floored[k])))
-
-        # --- covariances -------------------------------------------------
-        covs_out = np.empty((K, d, d))
-        for k in range(K):
-            scatter = (gamma[:, k, None] * X).T @ X
-            # the released mean absorbs the count denominator, so the
-            # weighted-sum outer product rebuilds from it with that factor
-            if cfg.estimator == "map":
-                denom = counts_noised[k] + prior.nu0 + d + 2.0
-                shrink = counts_noised[k] + prior.kappa0
-                num = prior.s0 + scatter - shrink * np.outer(means_out[k],
-                                                             means_out[k])
-            else:
-                denom = counts_noised[k]
-                num = scatter - counts_noised[k] * np.outer(means_out[k],
-                                                            means_out[k])
-            cov_k = num / denom
-            cov_k = 0.5 * (cov_k + cov_k.T)
-            sens = 2.0 / denom
-            spec = _spec("gaussian", sens, eps_i, cfg.delta_i, cfg.disable_noise)
-            covs_out[k] = analyze_gauss_perturb(cov_k, spec, rng, cfg.psd_floor)
-            trace.append(TraceRecord.from_spec(
-                spec, eps_i, cfg.delta_i, "covariance", j, component=k,
-                flagged=bool(floored[k])))
-
-        params = MoGParams(weights_out, means_out, covs_out,
-                           psd_floor=cfg.psd_floor)
-
-    return params, trace
+        release.iteration = j
+        params = m_step(data, e_step(data, params), prior, cfg.psd_floor, release)
+    return params, release.trace

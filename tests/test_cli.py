@@ -160,6 +160,36 @@ def test_fit_counts_below_one_exit_2(tmp_path, capsys, flag, value):
     assert not (tmp_path / "bad").exists()
 
 
+CALIBRATE_ARGS = ["calibrate", "--eps", "1", "--delta", "1e-4", "--iters", "5",
+                  "--components", "3"]
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["fit", "--model", "mog", "--eps-list", "0"], "--eps-list"),
+    (["fit", "--model", "mog", "--eps-list", "1,abc"], "--eps-list"),
+    (["fit", "--model", "mog", "--delta", "0"], "--delta"),
+    (["fit", "--model", "mog", "--delta-i", "0"], "--delta-i"),
+    (["fit", "--model", "mog", "--iters", "0"], "--iters"),
+    (["fit", "--model", "mog", "--k", "0"], "--k"),
+    (["fit", "--model", "mog", "--max-order", "0"], "--max-order"),
+    (["fit", "--model", "kmeans", "--iters", "0"], "--iters"),
+    (CALIBRATE_ARGS + ["--eps", "0"], "--eps"),
+    (CALIBRATE_ARGS + ["--delta", "0"], "--delta"),
+    (CALIBRATE_ARGS + ["--delta-i", "1"], "--delta-i"),
+    (CALIBRATE_ARGS + ["--iters", "0"], "--iters"),
+])
+def test_bad_numeric_flag_exits_2_before_writing(tmp_path, capsys, argv, flag):
+    out_dir = tmp_path / "out"
+    if argv[0] == "fit":
+        argv = argv + ["--synth-n", "300", "--out", str(out_dir)]
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(flag + " ")
+    assert not out_dir.exists()
+
+
 MODEL_SWEEPS = {
     "mog": ["--model", "mog", "--synth-d", "2", "--synth-k", "2", "--k", "2",
             "--iters", "2", "--method", "zcdp,ma", "--eps-list", "1,4"],

@@ -90,6 +90,20 @@ def test_dpem_kmeans_noise_free_equals_lloyd():
     np.testing.assert_allclose(noisefree.centers, ref.centers, atol=1e-12)
 
 
+def test_lloyd_empty_clusters_keep_their_centers():
+    # every row at one point: the nearest initial center takes them all and
+    # moves there, the other two clusters stay empty and do not move
+    point = np.array([0.2, -0.1])
+    data = BoundedDataset(np.tile(point, (50, 1)))
+    init = _uniform_ball(3, 2, np.random.default_rng(3))
+    nearest = int(((init - point) ** 2).sum(axis=1).argmin())
+    out = lloyd(data, 3, 4, np.random.default_rng(3))
+    empty = [c for c in range(3) if c != nearest]
+    np.testing.assert_array_equal(out.centers[empty], init[empty])
+    np.testing.assert_allclose(out.centers[nearest], point, rtol=1e-12)
+    assert (out.assignments == nearest).all()
+
+
 def test_lloyd_monotone_nicv():
     data = blobs(n=600, seed=2)
     rng = np.random.default_rng(0)
