@@ -35,11 +35,11 @@ from .accountant import (
     compose_trace,
 )
 from .data import BoundedDataset, preprocess
-from .dpem_mog import DpEmConfig, run_dpem_mog
+from .dpem_mog import DpEmConfig, _PrivateRelease, run_dpem_mog
 from .errors import DataError, DpemError, UnattainableBudgetError
 from .fa import fa_average_log_likelihood, perturb_second_moment, run_fa_em, second_moment
 from .kmeans import dplloyd, dpem_kmeans, lloyd, nicv
-from .mechanisms import gaussian_sigma
+from .mechanisms import Release, gaussian_sigma
 from .mog import fit_em, log_likelihood
 
 EXIT_OK = 0
@@ -54,8 +54,8 @@ IN_UNIT = (lambda v: 0 < v < 1, "in (0, 1)")
 # (test, wording) of the values each numeric flag accepts; both commands
 # exit EXIT_FLAGS on any other value before doing anything
 FLAG_RULES = {"eps": (lambda v: v > 0, "positive"), "delta": IN_UNIT, "delta_i": IN_UNIT,
-              "iters": AT_LEAST_1, "k": AT_LEAST_1, "max_order": AT_LEAST_1,
-              "jobs": AT_LEAST_1, "seeds": AT_LEAST_1, "folds": AT_LEAST_1}
+              **dict.fromkeys(("iters", "k", "components", "max_order", "jobs", "seeds",
+                               "folds", "n", "synth_n", "synth_d", "synth_k"), AT_LEAST_1)}
 AUDIT_SLACK = 1e-9
 # Thread counts of the BLAS, OpenMP and numexpr pools. Spawned workers read
 # them before numpy loads, so each of ``--jobs N`` workers runs one thread.
@@ -85,8 +85,9 @@ def _build_parser() -> argparse.ArgumentParser:
     cal.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER,
                      help="largest moment order for the MA tail bound")
     cal.add_argument("--n", type=int, default=None,
-                     help="dataset size, for concrete noise scales "
-                          "(balanced components assumed)")
+                     help="dataset size, for concrete noise scales (balanced "
+                          "components assumed); llg has no means column, as its "
+                          "L1 sensitivity needs the dimension d")
 
     fit = sub.add_parser("fit", help="run a privacy/utility sweep")
     fit.add_argument("--model", choices=("mog", "fa", "kmeans"), required=True)
@@ -142,18 +143,22 @@ def _calibrate_row(method: str, args) -> dict:
     row["eps_i"] = eps_i
     row["gauss_sigma_mult"] = gaussian_sigma(1.0, eps_i, args.delta_i)
     row["laplace_scale_mult"] = 1.0 / eps_i
-    if args.n:
-        balanced = args.n / args.components
-        row["sigma_weights"] = row["gauss_sigma_mult"] * 2.0 / args.n
-        row["sigma_means"] = row["gauss_sigma_mult"] * 2.0 / balanced
-        row["sigma_covs"] = row["gauss_sigma_mult"] * 2.0 / balanced
+    if args.n:  # balanced components: N_k = n / K
+        spec = Release(eps_i, args.delta_i, rng=None).spec
+        for col, label, count in (("noise_weights", "weights", args.n),
+                                  ("noise_means", "mean", args.n / args.components),
+                                  ("noise_covs", "covariance", args.n / args.components)):
+            if args.scenario == "ggg" or label != "mean":  # llg: an L1 mean needs d
+                row[col] = spec(*_PrivateRelease.mechanism(
+                    args.scenario, label, count)).noise_scale
     return row
 
 
 def _flags_ok(flags: dict, eps_list: tuple = ()) -> bool:
     """Print the first flag whose value breaks its ``FLAG_RULES`` entry, if
     any, and say whether none did; ``eps_list`` values obey the eps rule."""
-    checks = [(f, v, FLAG_RULES[f]) for f, v in flags.items() if f in FLAG_RULES]
+    checks = [(f, v, FLAG_RULES[f]) for f, v in flags.items()
+              if f in FLAG_RULES and v is not None]
     checks += [("eps_list", eps, FLAG_RULES["eps"]) for eps in eps_list]
     for flag, value, (ok, need) in checks:
         if not ok(value):
@@ -168,9 +173,8 @@ def cmd_calibrate(args) -> int:
         return EXIT_FLAGS
     methods = METHODS if args.method == "all" else (args.method,)
     rows = [_calibrate_row(m, args) for m in methods]
-    cols = ["method", "eps_i", "gauss_sigma_mult", "laplace_scale_mult"]
-    if args.n:
-        cols += ["sigma_weights", "sigma_means", "sigma_covs"]
+    # the columns of an attainable row; every such row has the same ones
+    cols = next((list(row) for row in rows if "error" not in row), ["method"])
     print(f"scenario={args.scenario} J={args.iters} K={args.components} "
           f"eps={args.eps} delta={args.delta} delta_i={args.delta_i}")
     print("  ".join(f"{c:>18}" for c in cols))
@@ -325,6 +329,9 @@ def cmd_fit(args) -> int:
         return EXIT_FLAGS
 
     bounded = preprocess(_load_matrix(args))
+    if args.model == "fa" and not 0 <= args.q < bounded.d:
+        print(f"--q must be in [0, {bounded.d - 1}], got {args.q}", file=sys.stderr)
+        return EXIT_FLAGS
 
     master_seed = int(os.environ.get("DPEM_SEED", args.seed))
     if args.folds == 1:

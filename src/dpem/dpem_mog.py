@@ -2,7 +2,7 @@
 
 Private EM is plain EM plus one release step: each iteration runs the
 E-step on the released parameters, then ``mog.m_step`` with
-``_PrivateRelease``, which noises the weights, means and covariances.
+``_PrivateRelease``, a ``Release`` noising weights, means and covariances.
 Denominators use the noised counts, so only the gamma-weighted numerator
 sums are data-sensitive; that is what the 2/N, 2 sqrt(d)/N_k and 2/N_k
 sensitivity bounds cover.
@@ -23,10 +23,8 @@ from .accountant import DEFAULT_MAX_ORDER, CompositionPlan, PrivacyBudget, calib
 from .data import BoundedDataset
 from .errors import DataError
 from .mechanisms import (
-    COUNT_FLOOR,
     AccountingTrace,
-    MechanismSpec,
-    TraceRecord,
+    Release,
     analyze_gauss_perturb,
     perturb_mean,
     perturb_simplex,
@@ -49,7 +47,7 @@ class DpEmConfig:
     seed: Optional[int] = None
     max_order: int = DEFAULT_MAX_ORDER
     psd_floor: float = PSD_FLOOR
-    disable_noise: bool = False  # testing only: forces every noise scale to 0
+    disable_noise: bool = False  # testing only: eps_i = inf, every noise scale 0
 
     def __post_init__(self):
         if self.components < 1 or self.iterations < 1:
@@ -68,59 +66,38 @@ class DpEmConfig:
         )
 
 
-class _PrivateRelease:
-    """Private EM's release step: ``mog.m_step`` passes each statistic
-    through its calibrated noise mechanism, recorded in ``trace``.
-
-    The only place a private mixture fit builds a mechanism, draws noise,
-    floors a count or appends a trace record. ``iteration`` labels the
-    records; set it before each M-step.
-    """
+class _PrivateRelease(Release):
+    """Private EM's release step: the mixture's replace-one sensitivities
+    and the adapters ``mog.m_step`` calls. ``disable_noise`` runs at
+    ``eps_i = inf``."""
 
     def __init__(self, cfg: DpEmConfig, n: int, d: int, rng: np.random.Generator):
-        self.cfg = cfg
-        self.eps_i = float("nan") if cfg.disable_noise else calibrate(
-            cfg.plan(), cfg.total, max_order=cfg.max_order)
-        self.rng = rng
-        self.kind = "laplace" if cfg.scenario == "llg" else "gaussian"
-        self.weights_sens = 2.0 / n
-        # a mean's sensitivity times its count: L1 for Laplace, L2 for Gaussian
-        self.mean_sens = 2.0 * math.sqrt(d) if self.kind == "laplace" else 2.0
-        self.trace = AccountingTrace()
-        self.iteration = 0
-        self.floored = None
+        super().__init__(math.inf if cfg.disable_noise else calibrate(
+            cfg.plan(), cfg.total, max_order=cfg.max_order), cfg.delta_i, rng)
+        self.scenario, self.n, self.d, self.psd_floor = cfg.scenario, n, d, cfg.psd_floor
 
-    def _mechanism(self, kind: str, sensitivity: float, label: str,
-                   component: Optional[int] = None) -> MechanismSpec:
-        """The mechanism of one release, recorded in the trace."""
-        if self.cfg.disable_noise:
-            spec = MechanismSpec(kind, sensitivity, 0.0)
-        elif kind == "laplace":
-            spec = MechanismSpec.laplace(sensitivity, self.eps_i)
-        else:
-            spec = MechanismSpec.gaussian(sensitivity, self.eps_i, self.cfg.delta_i)
-        self.trace.append(TraceRecord.from_spec(
-            spec, self.eps_i, self.cfg.delta_i if kind == "gaussian" else None,
-            label, self.iteration, component=component,
-            flagged=component is not None and bool(self.floored[component])))
-        return spec
+    @staticmethod
+    def mechanism(scenario: str, label: str, count: float,
+                  d: Optional[int] = None) -> tuple[str, float]:
+        """(kind, sensitivity) of a ``label`` release divided by ``count`` (N
+        for the weights): Gaussian of L2 sensitivity 2/count, except that llg
+        releases the weights and means by Laplace, a mean's L1 2 sqrt(d)/count."""
+        kind = "laplace" if scenario == "llg" and label != "covariance" else "gaussian"
+        return kind, (2.0 * math.sqrt(d) if kind == "laplace" and label == "mean"
+                      else 2.0) / count
 
     def weights(self, pi: np.ndarray) -> np.ndarray:
-        spec = self._mechanism(self.kind, self.weights_sens, "weights")
-        return perturb_simplex(pi, spec, self.rng)
-
-    def counts(self, counts: np.ndarray) -> np.ndarray:
-        # noised counts drive every later sensitivity this iteration
-        self.floored = counts < COUNT_FLOOR
-        return np.maximum(counts, COUNT_FLOOR)
+        return self(pi, *self.mechanism(self.scenario, "weights", self.n), "weights",
+                    perturb=perturb_simplex)
 
     def mean(self, k: int, mean: np.ndarray, denom: float) -> np.ndarray:
-        spec = self._mechanism(self.kind, self.mean_sens / denom, "mean", k)
-        return perturb_mean(mean, spec, self.rng)
+        return self(mean, *self.mechanism(self.scenario, "mean", denom, self.d), "mean",
+                    k, perturb=perturb_mean)
 
     def covariance(self, k: int, cov: np.ndarray, denom: float) -> np.ndarray:
-        spec = self._mechanism("gaussian", 2.0 / denom, "covariance", k)
-        return analyze_gauss_perturb(cov, spec, self.rng, self.cfg.psd_floor)
+        return self(cov, *self.mechanism(self.scenario, "covariance", denom),
+                    "covariance", k, perturb=analyze_gauss_perturb,
+                    psd_floor=self.psd_floor)
 
 
 def run_dpem_mog(data: BoundedDataset, cfg: DpEmConfig

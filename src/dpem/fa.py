@@ -14,12 +14,7 @@ import numpy as np
 from .accountant import PrivacyBudget
 from .data import BoundedDataset
 from .errors import DataError, UnattainableBudgetError
-from .mechanisms import (
-    AccountingTrace,
-    MechanismSpec,
-    TraceRecord,
-    analyze_gauss_perturb,
-)
+from .mechanisms import AccountingTrace, Release, analyze_gauss_perturb
 
 PSI_FLOOR = 1e-6
 
@@ -110,12 +105,10 @@ def perturb_second_moment(mom: SecondMoment, total: PrivacyBudget,
             f"the one-shot Gaussian release needs epsilon in (0, 1), "
             f"got {total.epsilon}"
         )
-    sens = 2.0 / mom.n
-    spec = MechanismSpec.gaussian(sens, total.epsilon, total.delta)
-    noised = analyze_gauss_perturb(mom.matrix, spec, rng, psd_floor)
-    trace = AccountingTrace([TraceRecord.from_spec(
-        spec, total.epsilon, total.delta, "second_moment", 0)])
-    return SecondMoment(noised, mom.n), trace
+    release = Release(total.epsilon, total.delta, rng)
+    noised = release(mom.matrix, "gaussian", 2.0 / mom.n, "second_moment",
+                     perturb=analyze_gauss_perturb, psd_floor=psd_floor)
+    return SecondMoment(noised, mom.n), release.trace
 
 
 def _init_params(mom: SecondMoment, q: int, psi_floor: float) -> FAParams:

@@ -2,7 +2,8 @@
 
 All three run one Lloyd loop (assign, then count and sum each cluster) and
 differ only in the update that makes the next centers from the counts and
-sums, which for the private variants is their release step:
+sums. The private variants' update is a ``mechanisms.Release``, which draws
+the noise, floors the noised counts and records the trace:
 
 * ``lloyd``: the noise-free baseline; an empty cluster keeps its center;
 * ``dplloyd``: Laplace noise on per-cluster counts and coordinate sums with
@@ -35,7 +36,7 @@ import numpy as np
 from .accountant import PrivacyBudget, zcdp_calibrate_pure
 from .data import BoundedDataset
 from .errors import DataError
-from .mechanisms import COUNT_FLOOR, AccountingTrace, TraceRecord
+from .mechanisms import AccountingTrace, Release
 
 
 @dataclass(frozen=True)
@@ -149,18 +150,15 @@ def dplloyd(data: BoundedDataset, k: int, iterations: int, eps: float,
             raise ValueError("zcdp composition needs a delta")
         else:
             eps_i = zcdp_calibrate_pure(iterations, PrivacyBudget(eps, delta))
-    sens = float(data.d + 1)
-    scale = 0.0 if math.isinf(eps_i) else sens / eps_i
-    trace = AccountingTrace()
+    release = Release(eps_i, None, rng)
 
     def update(centers, counts, sums, j):
-        counts = np.maximum(counts + rng.laplace(0.0, scale, size=k), COUNT_FLOOR)
-        sums = sums + rng.laplace(0.0, scale, size=sums.shape)
-        trace.append(TraceRecord(
-            "laplace", sens, scale, eps_i, None, "counts_and_sums", j))
-        return sums / counts[:, None]
+        release.iteration = j
+        noised = release(np.concatenate([counts, sums.ravel()]), "laplace",
+                         float(data.d + 1), "counts_and_sums")
+        return noised[k:].reshape(sums.shape) / release.counts(noised[:k])[:, None]
 
-    return _lloyd_loop(data, k, iterations, rng, update), trace
+    return _lloyd_loop(data, k, iterations, rng, update), release.trace
 
 
 def dpem_kmeans(data: BoundedDataset, k: int, iterations: int,
@@ -182,24 +180,15 @@ def dpem_kmeans(data: BoundedDataset, k: int, iterations: int,
         rng = np.random.default_rng()
     if eps_i is None:
         eps_i = zcdp_calibrate_pure(2 * iterations, total)
-    noise_free = math.isinf(eps_i)
-    count_scale = 0.0 if noise_free else 1.0 / eps_i
+    release = Release(eps_i, None, rng)
     sqrt_d = math.sqrt(data.d)
-    trace = AccountingTrace()
 
     def update(centers, counts, sums, j):
-        counts = counts + rng.laplace(0.0, count_scale, size=k)
-        trace.append(TraceRecord(
-            "laplace", 1.0, count_scale, eps_i, None, "counts", j))
-        floored = counts < COUNT_FLOOR
-        counts = np.maximum(counts, COUNT_FLOOR)
+        release.iteration = j
+        counts = release.counts(release(counts, "laplace", 1.0, "counts"))
         for c in range(k):
-            sens = sqrt_d / counts[c]
-            scale = 0.0 if noise_free else sens / eps_i
-            centers[c] = sums[c] / counts[c] + rng.laplace(0.0, scale, size=data.d)
-            trace.append(TraceRecord(
-                "laplace", sens, scale, eps_i, None, "centroid", j,
-                component=c, flagged=bool(floored[c]), parallel=True))
+            centers[c] = release(sums[c] / counts[c], "laplace", sqrt_d / counts[c],
+                                 "centroid", component=c, parallel=True)
         return centers
 
-    return _lloyd_loop(data, k, iterations, rng, update), trace
+    return _lloyd_loop(data, k, iterations, rng, update), release.trace

@@ -1,12 +1,12 @@
-"""Noise mechanisms and output projections.
+"""Noise mechanisms, output projections and the one release step.
 
 Laplace and Gaussian perturbation of released statistics, symmetric-matrix
 (upper-triangle) Gaussian perturbation for covariances, and the simplex /
 positive-semidefinite projections that keep released parameters valid.
 
-A noise scale of exactly 0 makes every mechanism the identity, which lets
-the private pipelines be exercised against their non-private counterparts
-in tests.
+Every private path releases through ``Release``. At ``eps_i = inf`` every
+noise scale is 0 and every mechanism the identity, which lets the private
+pipelines be exercised against their non-private counterparts in tests.
 """
 from __future__ import annotations
 
@@ -103,14 +103,6 @@ class TraceRecord:
     flagged: bool = False
     beta: Optional[float] = None
     parallel: bool = False
-
-    @classmethod
-    def from_spec(cls, spec: MechanismSpec, eps_i: float, delta_i: Optional[float],
-                  label: str, iteration: int, component: Optional[int] = None,
-                  flagged: bool = False) -> "TraceRecord":
-        beta = spec.noise_scale ** 2 if spec.kind == "gaussian" else None
-        return cls(spec.kind, spec.sensitivity, spec.noise_scale, eps_i, delta_i,
-                   label, iteration, component, flagged, beta)
 
     def zcdp_rho(self) -> float:
         """zCDP cost: eps_i^2/2 for a pure-DP release, sens^2/(2 beta) for
@@ -279,3 +271,43 @@ def analyze_gauss_perturb(cov: np.ndarray, spec: MechanismSpec,
     noise[iu] = rng.normal(0.0, spec.noise_scale, size=iu[0].shape[0])
     noise = noise + np.triu(noise, 1).T
     return psd_project(cov + noise, psd_floor)
+
+
+class Release:
+    """The release step of one private run, through which it reads the data.
+
+    A call records the mechanism of ``(kind, sensitivity)`` at ``(eps_i,
+    delta_i)`` in ``trace`` and returns ``perturb(value, spec, rng,
+    **perturb_kwargs)``; the record of a ``component`` whose count
+    ``counts`` floored is flagged. Set ``iteration`` before each iteration.
+    """
+
+    def __init__(self, eps_i: float, delta_i: Optional[float], rng: np.random.Generator):
+        self.eps_i, self.delta_i, self.rng = eps_i, delta_i, rng
+        self.trace = AccountingTrace()
+        self.iteration = 0
+        self.floored = None
+
+    def spec(self, kind: str, sensitivity: float) -> MechanismSpec:
+        """The mechanism of a ``kind`` release; noise scale 0 at ``eps_i = inf``."""
+        if math.isinf(self.eps_i):
+            return MechanismSpec(kind, sensitivity, 0.0)
+        if kind == "laplace":
+            return MechanismSpec.laplace(sensitivity, self.eps_i)
+        return MechanismSpec.gaussian(sensitivity, self.eps_i, self.delta_i)
+
+    def __call__(self, value, kind: str, sensitivity: float, label: str,
+                 component: Optional[int] = None, parallel: bool = False,
+                 perturb=perturb_mean, **perturb_kwargs):
+        spec, gaussian = self.spec(kind, sensitivity), kind == "gaussian"
+        flagged = component is not None and bool(self.floored[component])
+        self.trace.append(TraceRecord(
+            kind, sensitivity, spec.noise_scale, self.eps_i,
+            self.delta_i if gaussian else None, label, self.iteration, component,
+            flagged, spec.noise_scale ** 2 if gaussian else None, parallel))
+        return perturb(value, spec, self.rng, **perturb_kwargs)
+
+    def counts(self, counts: np.ndarray) -> np.ndarray:
+        """Noised counts floored at ``COUNT_FLOOR``, for use as divisors."""
+        self.floored = counts < COUNT_FLOOR
+        return np.maximum(counts, COUNT_FLOOR)

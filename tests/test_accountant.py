@@ -404,8 +404,9 @@ def build_trace(n_lap, n_gauss, eps_i, delta_i):
         trace.append(TraceRecord("laplace", 0.5, 0.5 / eps_i, eps_i, None,
                                  "weights", i))
     for i in range(n_gauss):
-        spec = MechanismSpec.gaussian(0.01, eps_i, delta_i)
-        trace.append(TraceRecord.from_spec(spec, eps_i, delta_i, "cov", i))
+        sigma = MechanismSpec.gaussian(0.01, eps_i, delta_i).noise_scale
+        trace.append(TraceRecord("gaussian", 0.01, sigma, eps_i, delta_i, "cov", i,
+                                 beta=sigma ** 2))
     return trace
 
 

@@ -12,6 +12,7 @@ from dpem import cli
 from dpem.accountant import CompositionPlan, PrivacyBudget, calibrate
 from dpem.cli import main
 from dpem.dataio import write_csv
+from dpem.mechanisms import gaussian_sigma
 
 
 def run_cli(args):
@@ -72,6 +73,23 @@ def test_calibrate_ma_default_order_reaches_small_budgets(capsys):
                            delta_i=1e-6, method="ma")
     want = calibrate(plan, PrivacyBudget(0.1, 1e-4), max_order=512)
     assert line.split()[1] == f"{want:.8g}"
+
+
+@pytest.mark.parametrize("scenario", ["llg", "ggg"])
+def test_calibrate_noise_columns_use_the_release_mechanism(capsys, scenario):
+    # llg releases the weights through Laplace noise, ggg through Gaussian
+    assert run_cli(["calibrate", "--eps", "1", "--delta", "1e-4", "--iters", "10",
+                    "--components", "3", "--scenario", scenario, "--n", "3000",
+                    "--method", "zcdp"]) == 0
+    header, row = capsys.readouterr().out.splitlines()[1:3]
+    cells = dict(zip(header.split(), row.split()))
+    eps_i = float(cells["eps_i"])
+    if scenario == "llg":
+        assert "noise_means" not in cells
+        want = (2.0 / 3000) / eps_i
+    else:
+        want = gaussian_sigma(2.0 / 3000, eps_i, 1e-6)
+    assert float(cells["noise_weights"]) == pytest.approx(want, rel=1e-7)
 
 
 def test_bad_flags_exit_2():
@@ -177,6 +195,13 @@ CALIBRATE_ARGS = ["calibrate", "--eps", "1", "--delta", "1e-4", "--iters", "5",
     (CALIBRATE_ARGS + ["--delta", "0"], "--delta"),
     (CALIBRATE_ARGS + ["--delta-i", "1"], "--delta-i"),
     (CALIBRATE_ARGS + ["--iters", "0"], "--iters"),
+    (CALIBRATE_ARGS + ["--n", "-3"], "--n"),
+    (CALIBRATE_ARGS + ["--components", "0", "--n", "100"], "--components"),
+    (["fit", "--model", "fa", "--synth-d", "2", "--q", "2"], "--q"),
+    (["fit", "--model", "fa", "--q", "-1"], "--q"),
+    (["fit", "--model", "mog", "--synth-d", "0"], "--synth-d"),
+    (["fit", "--model", "mog", "--synth-d", "-1"], "--synth-d"),
+    (["fit", "--model", "mog", "--synth-k", "0"], "--synth-k"),
 ])
 def test_bad_numeric_flag_exits_2_before_writing(tmp_path, capsys, argv, flag):
     out_dir = tmp_path / "out"

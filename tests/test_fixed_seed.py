@@ -5,7 +5,9 @@ fits shared one M-step and one Lloyd loop. A change of formula, RNG draw
 order or calibration moves them; a BLAS change in the last bits does not
 (rtol 1e-12). The private outputs and traces were bit-identical after that
 change; ``fit_em`` moved by rounding only, since it now divides by the
-counts recovered from its weights.
+counts recovered from its weights. The factor-analysis release was pinned
+from commit eeebc40, before every private path released through
+``mechanisms.Release``.
 """
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from dpem.accountant import PrivacyBudget
 from dpem.data import preprocess
 from dpem.dataio import synth_mog
 from dpem.dpem_mog import DpEmConfig, run_dpem_mog
+from dpem.fa import perturb_second_moment, second_moment
 from dpem.kmeans import dplloyd, dpem_kmeans
 from dpem.mog import fit_em
 
@@ -153,6 +156,9 @@ EXPECTED = {('ggg', 'zcdp', 'map'): {'weights': [0.7346475697001009, 0.265352430
                                     0.06461115075702877,
                                     3.049467619517334,
                                     0.14836093386810836]},
+ ('fa',): {'moment': [[0.08824835530112794, 0.07668152228485155],
+                      [0.07668152228485155, 0.21802637371829214]],
+           'noise_scale': [0.05791483071865028]},
  ('fit_em', 'mle'): {'weights': [0.6165192585788966, 0.38348074142110344],
                      'means': [[-0.22955128501741898, -0.4360966265129594],
                                [-0.18276026368270057, 0.03334036128696755]],
@@ -205,6 +211,14 @@ def test_dpem_kmeans_pinned(data):
     clustering, trace = dpem_kmeans(data, 3, 3, PrivacyBudget(1.0, 1e-4),
                                     np.random.default_rng(0))
     check(EXPECTED[("dpem_kmeans",)], centers=clustering.centers,
+          noise_scale=[r.noise_scale for r in trace])
+
+
+def test_perturb_second_moment_pinned(data):
+    noised, trace = perturb_second_moment(second_moment(data),
+                                          PrivacyBudget(0.5, 1e-4),
+                                          np.random.default_rng(0))
+    check(EXPECTED[("fa",)], moment=noised.matrix,
           noise_scale=[r.noise_scale for r in trace])
 
 

@@ -5,10 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpem.accountant import PrivacyBudget
+from dpem.data import preprocess
+from dpem.dataio import synth_mog
+from dpem.dpem_mog import DpEmConfig, run_dpem_mog
 from dpem.errors import DataError
+from dpem.kmeans import dplloyd, dpem_kmeans
 from dpem.mechanisms import (
+    COUNT_FLOOR,
     AccountingTrace,
     MechanismSpec,
+    Release,
     TraceRecord,
     analyze_gauss_perturb,
     gaussian_sigma,
@@ -246,8 +253,7 @@ def test_release_sensitivities_within_bounds(n, d, seed):
 def test_trace_counts_and_rho():
     trace = AccountingTrace()
     trace.append(TraceRecord("laplace", 1.0, 2.0, 0.5, None, "weights", 0))
-    trace.append(TraceRecord.from_spec(MechanismSpec("gaussian", 1.0, 2.0),
-                                       0.5, 1e-6, "cov", 0))
+    trace.append(TraceRecord("gaussian", 1.0, 2.0, 0.5, 1e-6, "cov", 0, beta=4.0))
     assert trace.n_laplace == 1
     assert trace.n_gaussian == 1
     assert trace.gaussian_delta() == pytest.approx(1e-6)
@@ -277,8 +283,7 @@ def test_trace_charges_one_per_group_at_the_costliest_member():
     for eps_i in (0.5, 0.1):
         trace.append(TraceRecord("laplace", 1.0, 1.0 / eps_i, eps_i, None,
                                  "centroid", 0, parallel=True))
-    trace.append(TraceRecord.from_spec(MechanismSpec("gaussian", 1.0, 2.0),
-                                       0.5, 1e-6, "cov", 0))
+    trace.append(TraceRecord("gaussian", 1.0, 2.0, 0.5, 1e-6, "cov", 0, beta=4.0))
     assert trace.charges() == [("laplace", 0.25, None, 0.5 * 0.25 ** 2, 1),
                                ("laplace", 0.5, None, 0.5 * 0.5 ** 2, 1),
                                ("gaussian", 0.5, 1e-6, 0.125, 1)]
@@ -296,3 +301,72 @@ def test_trace_charges_refuse_a_mixed_parallel_group():
 def test_trace_record_zcdp_rho_pure_dp_unit():
     rec = TraceRecord("laplace", 1.0, 1.0, 1.0, None, "x", 0)
     assert rec.zcdp_rho() == pytest.approx(0.5)
+
+
+# --- release ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind,spec", [
+    ("laplace", MechanismSpec.laplace(0.5, 0.25)),
+    ("gaussian", MechanismSpec.gaussian(0.5, 0.25, 1e-6)),
+])
+def test_release_records_its_mechanism(kind, spec):
+    release = Release(0.25, 1e-6, np.random.default_rng(0))
+    release.iteration = 3
+    out = release(np.zeros(4), kind, 0.5, "mean")
+    rec = release.trace[0]
+    assert (rec.kind, rec.sensitivity, rec.noise_scale) == (
+        spec.kind, spec.sensitivity, spec.noise_scale)
+    assert (rec.eps_i, rec.label, rec.iteration) == (0.25, "mean", 3)
+    assert rec.component is None and not rec.flagged and not rec.parallel
+    if kind == "laplace":
+        assert rec.delta_i is None and rec.beta is None
+    else:
+        assert rec.delta_i == 1e-6 and rec.beta == spec.noise_scale ** 2
+    expected = perturb_mean(np.zeros(4), spec, np.random.default_rng(0))
+    np.testing.assert_array_equal(out, expected)
+
+
+def test_release_passes_perturb_and_its_arguments():
+    release = Release(0.5, 1e-6, np.random.default_rng(1))
+    out = release(np.eye(2), "gaussian", 1e-3, "covariance",
+                  perturb=analyze_gauss_perturb, psd_floor=0.5)
+    assert np.linalg.eigvalsh(out).min() >= 0.5 - 1e-12
+
+
+def test_release_flags_the_records_of_floored_counts():
+    release = Release(1.0, None, np.random.default_rng(0))
+    counts = release.counts(np.array([0.2, 5.0, -3.0]))
+    np.testing.assert_array_equal(counts, [COUNT_FLOOR, 5.0, COUNT_FLOOR])
+    for c in range(3):
+        release(np.zeros(2), "laplace", 1.0 / counts[c], "centroid",
+                component=c, parallel=True)
+    release(np.zeros(2), "laplace", 1.0, "counts")
+    assert [r.flagged for r in release.trace] == [True, False, True, False]
+    assert [r.parallel for r in release.trace] == [True, True, True, False]
+    assert [r.component for r in release.trace] == [0, 1, 2, None]
+
+
+@pytest.mark.parametrize("kind", ["laplace", "gaussian"])
+def test_release_at_infinite_eps_i_is_the_identity(kind):
+    release = Release(math.inf, 1e-6, np.random.default_rng(0))
+    value = np.array([0.3, -0.1])
+    np.testing.assert_array_equal(release(value, kind, 2.0, "x"), value)
+    assert release.trace[0].noise_scale == 0.0
+    assert release.trace[0].eps_i == math.inf
+
+
+def test_noise_free_limit_is_the_same_on_every_path():
+    data = preprocess(synth_mog(200, 2, 2, separation=4.0, seed=1)[0])
+    traces = [run_dpem_mog(data, DpEmConfig(
+        components=2, iterations=2, total=PrivacyBudget(1.0, 1e-4),
+        scenario=scenario, disable_noise=True, seed=0))[1]
+        for scenario in ("ggg", "llg")]
+    traces += [dplloyd(data, 3, 2, 1.0, composition=composition, delta=1e-4,
+                       rng=np.random.default_rng(0), eps_i=math.inf)[1]
+               for composition in ("linear", "zcdp")]
+    traces.append(dpem_kmeans(data, 3, 2, PrivacyBudget(1.0, 1e-4),
+                              np.random.default_rng(0), eps_i=math.inf)[1])
+    for trace in traces:
+        assert len(trace) > 0
+        assert all(r.noise_scale == 0.0 and r.eps_i == math.inf for r in trace)
