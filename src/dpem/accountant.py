@@ -316,7 +316,6 @@ def compose(charges: list[tuple], method: str, delta: float,
 
 
 def compose_trace(trace: AccountingTrace, method: str, delta: float,
-                  slack: Optional[float] = None,
                   max_order: int = DEFAULT_MAX_ORDER) -> PrivacyBudget:
     """Recompose a recorded trace into a total (epsilon, delta) spend.
 
@@ -331,7 +330,7 @@ def compose_trace(trace: AccountingTrace, method: str, delta: float,
     neighbouring pair moves one member's input and the group costs its most
     expensive member. Every other record is a group of one.
     """
-    return compose(trace.charges(), method, delta, slack, max_order)
+    return compose(trace.charges(), method, delta, max_order=max_order)
 
 
 def zcdp_rho(plan: CompositionPlan, eps_i: float,

@@ -47,13 +47,21 @@ EXIT_FLAGS = 2
 EXIT_BUDGET = 3
 EXIT_DATA = 4
 
-KMEANS_METHODS = ("dplloyd-linear", "dplloyd-zcdp", "dpem")
-MODEL_METHODS = {"mog": METHODS, "kmeans": KMEANS_METHODS, "fa": ("one-shot",)}
+# model -> {method: the composition its private runs are calibrated and
+# audited under}. ``dpem fit`` sweeps the methods in this order; without
+# --method it runs all of them except those in OPT_IN_METHODS.
+FIT_METHODS = {
+    "mog": {method: method for method in METHODS},
+    "fa": {"one-shot": "linear"},
+    "kmeans": {"dplloyd-linear": "linear", "dplloyd-zcdp": "zcdp", "dpem": "zcdp"},
+}
+OPT_IN_METHODS = ("advanced",)
 AT_LEAST_1 = (lambda v: v >= 1, "at least 1")
 IN_UNIT = (lambda v: 0 < v < 1, "in (0, 1)")
 # (test, wording) of the values each numeric flag accepts; both commands
 # exit EXIT_FLAGS on any other value before doing anything
-FLAG_RULES = {"eps": (lambda v: v > 0, "positive"), "delta": IN_UNIT, "delta_i": IN_UNIT,
+FLAG_RULES = {"eps": (lambda v: 0 < v < math.inf, "finite and positive"),
+              "delta": IN_UNIT, "delta_i": IN_UNIT,
               **dict.fromkeys(("iters", "k", "components", "max_order", "jobs", "seeds",
                                "folds", "n", "synth_n", "synth_d", "synth_k"), AT_LEAST_1)}
 AUDIT_SLACK = 1e-9
@@ -90,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           "L1 sensitivity needs the dimension d")
 
     fit = sub.add_parser("fit", help="run a privacy/utility sweep")
-    fit.add_argument("--model", choices=("mog", "fa", "kmeans"), required=True)
+    fit.add_argument("--model", choices=tuple(FIT_METHODS), required=True)
     fit.add_argument("--data", type=str, default=None,
                      help="numeric CSV of raw data rows")
     fit.add_argument("--header", action="store_true",
@@ -109,9 +117,10 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--delta", type=float, default=1e-4)
     fit.add_argument("--delta-i", type=float, default=1e-6)
     fit.add_argument("--method", type=str, default=None,
-                     help="comma-separated composition methods "
-                          "(mog: linear,advanced,zcdp,ma; "
-                          "kmeans: dplloyd-linear,dplloyd-zcdp,dpem)")
+                     help="comma-separated methods (" + "; ".join(
+                         f"{model}: {','.join(methods)}"
+                         for model, methods in FIT_METHODS.items())
+                     + f"); default: all but {','.join(OPT_IN_METHODS)}")
     fit.add_argument("--scenario", choices=("llg", "ggg"), default="ggg")
     fit.add_argument("--estimator", choices=("mle", "map"), default="map")
     fit.add_argument("--folds", type=int, default=1,
@@ -154,12 +163,11 @@ def _calibrate_row(method: str, args) -> dict:
     return row
 
 
-def _flags_ok(flags: dict, eps_list: tuple = ()) -> bool:
+def _flags_ok(flags: dict) -> bool:
     """Print the first flag whose value breaks its ``FLAG_RULES`` entry, if
-    any, and say whether none did; ``eps_list`` values obey the eps rule."""
+    any, and say whether none did."""
     checks = [(f, v, FLAG_RULES[f]) for f, v in flags.items()
               if f in FLAG_RULES and v is not None]
-    checks += [("eps_list", eps, FLAG_RULES["eps"]) for eps in eps_list]
     for flag, value, (ok, need) in checks:
         if not ok(value):
             print(f"--{flag.replace('_', '-')} must be {need}, got {value}",
@@ -173,22 +181,19 @@ def cmd_calibrate(args) -> int:
         return EXIT_FLAGS
     methods = METHODS if args.method == "all" else (args.method,)
     rows = [_calibrate_row(m, args) for m in methods]
+    attainable = [row for row in rows if "error" not in row]
     # the columns of an attainable row; every such row has the same ones
-    cols = next((list(row) for row in rows if "error" not in row), ["method"])
+    cols = list(attainable[0]) if attainable else ["method"]
     print(f"scenario={args.scenario} J={args.iters} K={args.components} "
           f"eps={args.eps} delta={args.delta} delta_i={args.delta_i}")
     print("  ".join(f"{c:>18}" for c in cols))
-    ok = 0
     for row in rows:
         if "error" in row:
             print(f"{row['method']:>18}  unattainable: {row['error']}")
-            continue
-        ok += 1
-        cells = [f"{row['method']:>18}"]
-        for c in cols[1:]:
-            cells.append(f"{row[c]:>18.8g}")
-        print("  ".join(cells))
-    return EXIT_OK if ok else EXIT_BUDGET
+        else:
+            print("  ".join([f"{row['method']:>18}"]
+                            + [f"{row[c]:>18.8g}" for c in cols[1:]]))
+    return EXIT_OK if attainable else EXIT_BUDGET
 
 
 # ---------------------------------------------------------------------------
@@ -246,54 +251,45 @@ def _run_cell(task: dict):
     eps = task["eps"]
     delta = task["delta"]
     method = task["method"]
-    audit_method = None  # the composition each private branch audits under
+    # the composition a private cell is calibrated and audited under
+    composition = FIT_METHODS[model].get(method)
 
     if model == "mog":
-        if method == "baseline":
+        if composition is None:
             params = fit_em(train, task["k"], task["iters"],
                             estimator=task["estimator"], seed=cell_seed)
         else:
             cfg = DpEmConfig(
                 components=task["k"], iterations=task["iters"],
                 total=PrivacyBudget(eps, delta), delta_i=task["delta_i"],
-                scenario=task["scenario"], method=method,
+                scenario=task["scenario"], method=composition,
                 estimator=task["estimator"], seed=cell_seed,
                 max_order=task["max_order"])
             params, trace = run_dpem_mog(train, cfg)
-            audit_method = method
         metric = log_likelihood(test, params) / test.n
-        metric_name = "test_loglik_per_point"
     elif model == "fa":
         mom = second_moment(train)
-        if method == "baseline":
-            params = run_fa_em(mom, task["q"])
-        else:
-            rng = np.random.default_rng(cell_seed)
-            noised, trace = perturb_second_moment(
-                mom, PrivacyBudget(eps, delta), rng)
-            params = run_fa_em(noised, task["q"])
-            audit_method = "linear"
+        if composition is not None:
+            mom, trace = perturb_second_moment(
+                mom, PrivacyBudget(eps, delta), np.random.default_rng(cell_seed))
+        params = run_fa_em(mom, task["q"])
         metric = fa_average_log_likelihood(second_moment(test), params)
-        metric_name = "test_loglik_per_point"
     else:  # kmeans
         rng = np.random.default_rng(cell_seed)
-        if method == "baseline":
+        if composition is None:
             clustering = lloyd(train, task["k"], task["iters"], rng)
-        elif method.startswith("dplloyd-"):  # the suffix names the composition
-            audit_method = method.removeprefix("dplloyd-")
-            clustering, trace = dplloyd(train, task["k"], task["iters"], eps,
-                                        composition=audit_method, delta=delta, rng=rng)
-        else:  # dpem
+        elif method == "dpem":
             clustering, trace = dpem_kmeans(train, task["k"], task["iters"],
                                             PrivacyBudget(eps, delta), rng)
-            audit_method = "zcdp"
+        else:
+            clustering, trace = dplloyd(train, task["k"], task["iters"], eps,
+                                        composition=composition, delta=delta, rng=rng)
         metric = nicv(test, clustering.centers)
-        metric_name = "nicv"
 
     n_mech, audited = 0, (0.0, 0.0)
-    if audit_method is not None:
+    if composition is not None:
         n_mech = len(trace)
-        spend = compose_trace(trace, audit_method, delta,
+        spend = compose_trace(trace, composition, delta,
                               max_order=task["max_order"])
         audited = (spend.epsilon, spend.delta)
         if audited[0] > eps + AUDIT_SLACK or audited[1] > delta + AUDIT_SLACK:
@@ -304,28 +300,36 @@ def _run_cell(task: dict):
     return dataio.ExperimentResult(
         model=model, method=method, scenario=task["scenario"],
         epsilon=eps, delta=delta, fold=task["fold"], seed=task["seed"],
-        metric=float(metric), metric_name=metric_name, n_mechanisms=n_mech,
+        metric=float(metric), n_mechanisms=n_mech,
+        metric_name="nicv" if model == "kmeans" else "test_loglik_per_point",
         audited_epsilon=audited[0], audited_delta=audited[1],
         wall_time=time.perf_counter() - t0)
 
 
-def cmd_fit(args) -> int:
+def _listed(flag: str, text: str, parse, ok, what: str) -> list | None:
+    """The values ``parse`` makes of a comma-separated flag, or None after
+    one line saying they are not one or more distinct ``what``; each value
+    must pass ``ok``."""
     try:
-        eps_list = [float(tok) for tok in args.eps_list.split(",") if tok.strip()]
+        values = [parse(tok.strip()) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        print(f"--eps-list must be comma-separated numbers, got {args.eps_list!r}",
-              file=sys.stderr)
+        values = []
+    if values and len(set(values)) == len(values) and all(map(ok, values)):
+        return values
+    print(f"--{flag} must list distinct {what}, got {text!r}", file=sys.stderr)
+    return None
+
+
+def cmd_fit(args) -> int:
+    table = FIT_METHODS[args.model]
+    eps_ok, need = FLAG_RULES["eps"]
+    eps_list = _listed("eps-list", args.eps_list, float, eps_ok, f"{need} numbers")
+    if eps_list is None or not _flags_ok(vars(args)):
         return EXIT_FLAGS
-    if not _flags_ok(vars(args), eps_list):
-        return EXIT_FLAGS
-    if args.method is None:
-        methods = ["linear", "zcdp", "ma"] if args.model == "mog" else list(
-            MODEL_METHODS[args.model])
-    else:
-        methods = [tok.strip() for tok in args.method.split(",") if tok.strip()]
-    bad = set(methods) - set(MODEL_METHODS[args.model])
-    if bad:
-        print(f"unknown methods for {args.model}: {sorted(bad)}", file=sys.stderr)
+    methods = ([m for m in table if m not in OPT_IN_METHODS] if args.method is None
+               else _listed("method", args.method, str, table.__contains__,
+                            f"{args.model} methods ({','.join(table)})"))
+    if methods is None:
         return EXIT_FLAGS
 
     bounded = preprocess(_load_matrix(args))
@@ -334,29 +338,21 @@ def cmd_fit(args) -> int:
         return EXIT_FLAGS
 
     master_seed = int(os.environ.get("DPEM_SEED", args.seed))
-    if args.folds == 1:
-        splits = dataio.cv_split(bounded.rows, 10, seed=master_seed)[:1]
-    else:
-        splits = dataio.cv_split(bounded.rows, args.folds, seed=master_seed)
+    # --folds 1 is the first of ten folds: a single 90/10 split
+    splits = dataio.cv_split(bounded.rows, args.folds if args.folds > 1 else 10,
+                             seed=master_seed)[:args.folds]
     splits = [(BoundedDataset(train), BoundedDataset(test)) for train, test in splits]
-    tasks = []
-    cell_index = 0
-    sweep_methods = list(methods) + ["baseline"]
-    for method in sweep_methods:
-        sweep_eps = eps_list if method != "baseline" else [math.inf]
-        for eps in sweep_eps:
-            for fold in range(len(splits)):
-                for seed in range(args.seeds):
-                    tasks.append({
-                        "model": args.model, "method": method, "eps": eps,
-                        "delta": args.delta, "delta_i": args.delta_i,
-                        "scenario": args.scenario, "estimator": args.estimator,
-                        "k": args.k, "q": args.q, "iters": args.iters,
-                        "fold": fold, "seed": seed,
-                        "master_seed": master_seed, "cell_index": cell_index,
-                        "max_order": args.max_order,
-                    })
-                    cell_index += 1
+    cells = [(method, eps, fold, seed) for method in [*methods, "baseline"]
+             for eps in (eps_list if method != "baseline" else [math.inf])
+             for fold in range(len(splits)) for seed in range(args.seeds)]
+    tasks = [{"model": args.model, "method": method, "eps": eps,
+              "delta": args.delta, "delta_i": args.delta_i,
+              "scenario": args.scenario, "estimator": args.estimator,
+              "k": args.k, "q": args.q, "iters": args.iters,
+              "fold": fold, "seed": seed,
+              "master_seed": master_seed, "cell_index": cell_index,
+              "max_order": args.max_order}
+             for cell_index, (method, eps, fold, seed) in enumerate(cells)]
 
     workers = min(args.jobs, len(tasks))
     if workers > 1:

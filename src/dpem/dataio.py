@@ -50,14 +50,11 @@ def load_csv(path: str | Path, has_header: bool = False) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
-def write_csv(path: str | Path, matrix: np.ndarray,
-              header: list[str] | None = None) -> None:
+def write_csv(path: str | Path, matrix: np.ndarray) -> None:
     """Write a numeric matrix with round-trip float precision."""
     matrix = np.asarray(matrix, dtype=float)
     with Path(path).open("w", newline="") as handle:
         writer = csv.writer(handle)
-        if header is not None:
-            writer.writerow(header)
         for row in matrix:
             writer.writerow([repr(float(v)) for v in row])
 

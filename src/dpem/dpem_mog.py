@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -46,7 +46,7 @@ class DpEmConfig:
     estimator: str = "map"
     seed: Optional[int] = None
     max_order: int = DEFAULT_MAX_ORDER
-    psd_floor: float = PSD_FLOOR
+    psd_floor: ClassVar[float] = PSD_FLOOR  # a constant, not a setting
     disable_noise: bool = False  # testing only: eps_i = inf, every noise scale 0
 
     def __post_init__(self):
@@ -74,7 +74,7 @@ class _PrivateRelease(Release):
     def __init__(self, cfg: DpEmConfig, n: int, d: int, rng: np.random.Generator):
         super().__init__(math.inf if cfg.disable_noise else calibrate(
             cfg.plan(), cfg.total, max_order=cfg.max_order), cfg.delta_i, rng)
-        self.scenario, self.n, self.d, self.psd_floor = cfg.scenario, n, d, cfg.psd_floor
+        self.scenario, self.n, self.d = cfg.scenario, n, d
 
     @staticmethod
     def mechanism(scenario: str, label: str, count: float,
@@ -96,8 +96,7 @@ class _PrivateRelease(Release):
 
     def covariance(self, k: int, cov: np.ndarray, denom: float) -> np.ndarray:
         return self(cov, *self.mechanism(self.scenario, "covariance", denom),
-                    "covariance", k, perturb=analyze_gauss_perturb,
-                    psd_floor=self.psd_floor)
+                    "covariance", k, perturb=analyze_gauss_perturb, psd_floor=PSD_FLOOR)
 
 
 def run_dpem_mog(data: BoundedDataset, cfg: DpEmConfig
@@ -113,8 +112,8 @@ def run_dpem_mog(data: BoundedDataset, cfg: DpEmConfig
     prior = MapPrior.default(K, data.d) if cfg.estimator == "map" else None
     rng = np.random.default_rng(cfg.seed)
     release = _PrivateRelease(cfg, data.n, data.d, rng)
-    params = init_params(data, K, rng, cfg.psd_floor)
+    params = init_params(data, K, rng)
     for j in range(cfg.iterations):
         release.iteration = j
-        params = m_step(data, e_step(data, params), prior, cfg.psd_floor, release)
+        params = m_step(data, e_step(data, params), prior, release)
     return params, release.trace

@@ -91,8 +91,7 @@ def second_moment(data: BoundedDataset) -> SecondMoment:
 
 
 def perturb_second_moment(mom: SecondMoment, total: PrivacyBudget,
-                          rng: np.random.Generator,
-                          psd_floor: float = PSI_FLOOR
+                          rng: np.random.Generator
                           ) -> tuple[SecondMoment, AccountingTrace]:
     """One-shot symmetric Gaussian perturbation of the second moment.
 
@@ -107,18 +106,18 @@ def perturb_second_moment(mom: SecondMoment, total: PrivacyBudget,
         )
     release = Release(total.epsilon, total.delta, rng)
     noised = release(mom.matrix, "gaussian", 2.0 / mom.n, "second_moment",
-                     perturb=analyze_gauss_perturb, psd_floor=psd_floor)
+                     perturb=analyze_gauss_perturb, psd_floor=PSI_FLOOR)
     return SecondMoment(noised, mom.n), release.trace
 
 
-def _init_params(mom: SecondMoment, q: int, psi_floor: float) -> FAParams:
+def _init_params(mom: SecondMoment, q: int) -> FAParams:
     """Scaled principal components of the moment matrix seed the loading."""
     d = mom.d
     vals, vecs = np.linalg.eigh(mom.matrix)
     order = np.argsort(vals)[::-1][:q]
     top_vals = np.maximum(vals[order], 0.0)
     w = vecs[:, order] * np.sqrt(top_vals)
-    psi = np.maximum(np.diag(mom.matrix) - (w ** 2).sum(axis=1), psi_floor)
+    psi = np.maximum(np.diag(mom.matrix) - (w ** 2).sum(axis=1), PSI_FLOOR)
     g = _posterior_cov(w, psi)
     return FAParams(w, psi, g)
 
@@ -132,7 +131,7 @@ def _posterior_cov(w: np.ndarray, psi: np.ndarray) -> np.ndarray:
 
 
 def run_fa_em(mom: SecondMoment, q: int, iters: int = 1000,
-              tol: float = 1e-8, psi_floor: float = PSI_FLOOR) -> FAParams:
+              tol: float = 1e-8) -> FAParams:
     """Fit the factor model to a (possibly perturbed) second moment.
 
     Alternates the moment-based loading and noise updates, recomputing the
@@ -146,9 +145,9 @@ def run_fa_em(mom: SecondMoment, q: int, iters: int = 1000,
         raise DataError("second moment must be PSD; project it first")
     lam = mom.matrix
     if q == 0:
-        psi = np.maximum(np.diag(lam), psi_floor)
+        psi = np.maximum(np.diag(lam), PSI_FLOOR)
         return FAParams(np.zeros((mom.d, 0)), psi, np.zeros((0, 0)))
-    params = _init_params(mom, q, psi_floor)
+    params = _init_params(mom, q)
     w, psi = params.loading, params.psi
     for _ in range(iters):
         g = _posterior_cov(w, psi)
@@ -157,7 +156,7 @@ def run_fa_em(mom: SecondMoment, q: int, iters: int = 1000,
         second = g + g @ b.T @ first      # G + G W^T Psi^-1 Lambda Psi^-1 W G
         w_new = np.linalg.solve(second.T, first.T).T
         psi_new = np.diag(lam - w_new @ g @ (b.T @ lam))
-        psi_new = np.maximum(psi_new, psi_floor)
+        psi_new = np.maximum(psi_new, PSI_FLOOR)
         delta = max(np.abs(w_new - w).max(), np.abs(psi_new - psi).max())
         w, psi = w_new, psi_new
         if delta < tol:

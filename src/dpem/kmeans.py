@@ -124,9 +124,8 @@ def lloyd(data: BoundedDataset, k: int, iterations: int,
 
 
 def dplloyd(data: BoundedDataset, k: int, iterations: int, eps: float,
-            composition: str = "linear", delta: Optional[float] = None,
-            rng: np.random.Generator | None = None,
-            eps_i: Optional[float] = None
+            composition: str = "linear", delta: Optional[float] = None, *,
+            rng: np.random.Generator, eps_i: Optional[float] = None
             ) -> tuple[Clustering, AccountingTrace]:
     """Lloyd iterations with Laplace noise on counts and coordinate sums.
 
@@ -141,8 +140,6 @@ def dplloyd(data: BoundedDataset, k: int, iterations: int, eps: float,
     """
     if composition not in ("linear", "zcdp"):
         raise ValueError("composition must be 'linear' or 'zcdp'")
-    if rng is None:
-        rng = np.random.default_rng()
     if eps_i is None:
         if composition == "linear":
             eps_i = eps / iterations
@@ -162,7 +159,7 @@ def dplloyd(data: BoundedDataset, k: int, iterations: int, eps: float,
 
 
 def dpem_kmeans(data: BoundedDataset, k: int, iterations: int,
-                total: PrivacyBudget, rng: np.random.Generator | None = None,
+                total: PrivacyBudget, rng: np.random.Generator,
                 eps_i: Optional[float] = None
                 ) -> tuple[Clustering, AccountingTrace]:
     """Centroid-perturbation k-means under zCDP composition.
@@ -176,8 +173,6 @@ def dpem_kmeans(data: BoundedDataset, k: int, iterations: int,
     calibrated over 2J pure-DP releases. The trace keeps all J(k+1)
     records. The draw order per iteration is counts, then centroids 1..k.
     """
-    if rng is None:
-        rng = np.random.default_rng()
     if eps_i is None:
         eps_i = zcdp_calibrate_pure(2 * iterations, total)
     release = Release(eps_i, None, rng)

@@ -204,8 +204,7 @@ def log_likelihood(data: BoundedDataset, params: MoGParams) -> float:
 
 
 def m_step(data: BoundedDataset, resp: Responsibilities,
-           prior: MapPrior | None = None, psd_floor: float = PSD_FLOOR,
-           release=None) -> MoGParams:
+           prior: MapPrior | None = None, release=None) -> MoGParams:
     """The maximum-likelihood update, or the posterior mode under ``prior``.
 
     The counts that divide come from the weights, and each covariance is
@@ -245,30 +244,29 @@ def m_step(data: BoundedDataset, resp: Responsibilities,
         cov = num / cov_denom
         cov = 0.5 * (cov + cov.T)
         if release is None:
-            covs[k] = psd_project(cov, psd_floor)
+            covs[k] = psd_project(cov, PSD_FLOOR)
         else:
             covs[k] = release.covariance(k, cov, cov_denom)
-    return MoGParams(weights, means, covs, psd_floor=psd_floor)
+    return MoGParams(weights, means, covs)
 
 
-def m_step_mle(data: BoundedDataset, resp: Responsibilities,
-               psd_floor: float = PSD_FLOOR) -> MoGParams:
+def m_step_mle(data: BoundedDataset, resp: Responsibilities) -> MoGParams:
     """Weighted maximum-likelihood update of weights, means and covariances."""
     for k, nk in enumerate(resp.counts):
         if nk <= COUNT_FLOOR_FRACTION * data.n:
             raise DegenerateComponentError(k, float(nk))
-    return m_step(data, resp, None, psd_floor)
+    return m_step(data, resp)
 
 
-def m_step_map(data: BoundedDataset, resp: Responsibilities, prior: MapPrior,
-               psd_floor: float = PSD_FLOOR) -> MoGParams:
+def m_step_map(data: BoundedDataset, resp: Responsibilities,
+               prior: MapPrior) -> MoGParams:
     """Posterior-mode update under the Dirichlet/NIW prior. A component with
     zero soft count falls back to the prior instead of failing."""
-    return m_step(data, resp, prior, psd_floor)
+    return m_step(data, resp, prior)
 
 
-def init_params(data: BoundedDataset, n_components: int, rng: np.random.Generator,
-                psd_floor: float = PSD_FLOOR) -> MoGParams:
+def init_params(data: BoundedDataset, n_components: int,
+                rng: np.random.Generator) -> MoGParams:
     """Seed EM: distance-weighted sampling of means, shared global covariance,
     uniform weights."""
     X = data.rows
@@ -287,10 +285,10 @@ def init_params(data: BoundedDataset, n_components: int, rng: np.random.Generato
         centers.append(X[int(rng.choice(n, p=probs))])
     means = np.array(centers)
     global_cov = np.atleast_2d(np.cov(X.T)) if n > 1 else np.eye(d)
-    global_cov = psd_project(0.5 * (global_cov + global_cov.T), psd_floor)
+    global_cov = psd_project(0.5 * (global_cov + global_cov.T), PSD_FLOOR)
     covs = np.repeat(global_cov[None, :, :], n_components, axis=0)
     weights = np.full(n_components, 1.0 / n_components)
-    return MoGParams(weights, means, covs, psd_floor=psd_floor)
+    return MoGParams(weights, means, covs)
 
 
 def _reassign_degenerate(resp: Responsibilities, n: int,
@@ -312,25 +310,23 @@ def _reassign_degenerate(resp: Responsibilities, n: int,
 
 
 def fit_em(data: BoundedDataset, n_components: int, iterations: int,
-           estimator: str = "mle", prior: MapPrior | None = None,
-           seed: int | None = None, init: MoGParams | None = None,
-           psd_floor: float = PSD_FLOOR) -> MoGParams:
-    """Run plain (non-private) EM for a fixed number of iterations.
+           estimator: str = "mle", seed: int | None = None,
+           init: MoGParams | None = None) -> MoGParams:
+    """Run plain (non-private) EM for a fixed number of iterations; MAP uses
+    the prior ``MapPrior.default``.
 
     No early stopping: the iteration count is part of the contract so that
     private wrappers can compose privacy costs over exactly J steps.
     """
     if estimator not in ("mle", "map"):
         raise ValueError(f"unknown estimator {estimator!r}")
-    if estimator == "map" and prior is None:
-        prior = MapPrior.default(n_components, data.d)
+    prior = MapPrior.default(n_components, data.d) if estimator == "map" else None
     rng = np.random.default_rng(seed)
-    params = init if init is not None else init_params(
-        data, n_components, rng, psd_floor)
+    params = init if init is not None else init_params(data, n_components, rng)
     for _ in range(iterations):
         resp = _reassign_degenerate(e_step(data, params), data.n, rng)
         if estimator == "mle":
-            params = m_step_mle(data, resp, psd_floor)
+            params = m_step_mle(data, resp)
         else:
-            params = m_step_map(data, resp, prior, psd_floor)
+            params = m_step_map(data, resp, prior)
     return params

@@ -202,6 +202,13 @@ CALIBRATE_ARGS = ["calibrate", "--eps", "1", "--delta", "1e-4", "--iters", "5",
     (["fit", "--model", "mog", "--synth-d", "0"], "--synth-d"),
     (["fit", "--model", "mog", "--synth-d", "-1"], "--synth-d"),
     (["fit", "--model", "mog", "--synth-k", "0"], "--synth-k"),
+    (["fit", "--model", "mog", "--eps-list", ","], "--eps-list"),
+    (["fit", "--model", "mog", "--eps-list", "inf"], "--eps-list"),
+    (["fit", "--model", "kmeans", "--eps-list", "1,inf"], "--eps-list"),
+    (CALIBRATE_ARGS + ["--eps", "inf"], "--eps"),
+    (["fit", "--model", "mog", "--eps-list", "1,0.5,1.0"], "--eps-list"),
+    (["fit", "--model", "mog", "--method", "zcdp,zcdp"], "--method"),
+    (["fit", "--model", "mog", "--method", ","], "--method"),
 ])
 def test_bad_numeric_flag_exits_2_before_writing(tmp_path, capsys, argv, flag):
     out_dir = tmp_path / "out"
@@ -241,6 +248,29 @@ def test_fit_module_entry_point_jobs_2_matches_jobs_1(tmp_path, model):
     assert proc.returncode == 0, proc.stderr
     assert rows_without_timing(tmp_path / "par" / "results.jsonl") == \
         rows_without_timing(tmp_path / "serial" / "results.jsonl")
+
+
+DEFAULT_METHODS = {
+    "mog": "linear,zcdp,ma",
+    "fa": "one-shot",
+    "kmeans": "dplloyd-linear,dplloyd-zcdp,dpem",
+}
+
+
+@pytest.mark.parametrize("model", sorted(DEFAULT_METHODS))
+def test_fit_without_method_sweeps_the_default_methods(tmp_path, model):
+    # the default sweep is the listed methods in that order plus the baseline,
+    # so its rows equal those of the explicit --method run, seeds included
+    flags = ["fit", "--model", model, "--synth-n", "300", "--synth-d", "3",
+             "--synth-k", "2", "--k", "2", "--q", "1", "--iters", "2",
+             "--eps-list", "0.5", "--seeds", "1", "--seed", "4"]
+    assert run_cli([*flags, "--out", str(tmp_path / "default")]) == 0
+    assert run_cli([*flags, "--method", DEFAULT_METHODS[model],
+                    "--out", str(tmp_path / "named")]) == 0
+    rows = rows_without_timing(tmp_path / "default" / "results.jsonl")
+    assert sorted(r["method"] for r in rows) == sorted(
+        DEFAULT_METHODS[model].split(",") + ["baseline"])
+    assert rows == rows_without_timing(tmp_path / "named" / "results.jsonl")
 
 
 def test_fit_tasks_carry_no_arrays(tmp_path, monkeypatch):

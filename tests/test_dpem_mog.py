@@ -6,7 +6,7 @@ from dpem.data import BoundedDataset, preprocess
 from dpem.dataio import synth_mog
 from dpem.dpem_mog import DpEmConfig, run_dpem_mog
 from dpem.errors import DataError, UnattainableBudgetError
-from dpem.mog import fit_em, log_likelihood
+from dpem.mog import PSD_FLOOR, fit_em, log_likelihood
 
 
 def planted(n=800, d=2, k=2, sep=4.0, seed=5):
@@ -165,3 +165,10 @@ def test_all_gaussian_schedule_beats_mixed_at_equal_totals(method):
             lls.append(log_likelihood(data, params) / data.n)
         medians[scenario] = float(np.median(lls))
     assert medians["ggg"] >= medians["llg"]
+
+
+def test_psd_floor_is_a_constant_not_a_setting():
+    cfg = cfg_for(planted())
+    assert cfg.psd_floor == PSD_FLOOR
+    with pytest.raises(TypeError):
+        cfg_for(planted(), psd_floor=0.5)
