@@ -336,6 +336,13 @@ def cmd_fit(args) -> int:
     if args.model == "fa" and not 0 <= args.q < bounded.d:
         print(f"--q must be in [0, {bounded.d - 1}], got {args.q}", file=sys.stderr)
         return EXIT_FLAGS
+    # FA's one-shot Gaussian release attains only eps in (0, 1); checked
+    # before any cell runs, so a list such as the default is not cut short
+    # after its first cells with nothing written
+    if args.model == "fa" and not all(map(IN_UNIT[0], eps_list)):
+        print(f"--eps-list must lie {IN_UNIT[1]} for --model fa, got {args.eps_list!r}",
+              file=sys.stderr)
+        return EXIT_BUDGET
 
     master_seed = int(os.environ.get("DPEM_SEED", args.seed))
     # --folds 1 is the first of ten folds: a single 90/10 split

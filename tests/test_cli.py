@@ -417,3 +417,19 @@ def test_fit_unattainable_budget_exits_3(tmp_path):
                     "--eps-list", "2.0", "--seeds", "1",
                     "--out", str(tmp_path / "z")])
     assert code == 3
+
+
+def test_fit_fa_default_eps_list_exits_3_before_any_cell(tmp_path, capsys, monkeypatch):
+    # the default list (0.1,0.5,1,2,4) reaches eps 1, which FA's one-shot
+    # release cannot attain: no cell may run before the sweep is refused
+    cells = []
+    monkeypatch.setattr(cli, "_run_cell", cells.append)
+    out_dir = tmp_path / "out"
+    assert run_cli(["fit", "--model", "fa", "--synth-n", "400", "--synth-d", "4",
+                    "--out", str(out_dir)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("--eps-list ")
+    assert cells == []
+    assert not out_dir.exists()

@@ -16,6 +16,7 @@ from dpem.kmeans import (
     Clustering,
     _assign,
     _counts_and_sums,
+    _nearest,
     _uniform_ball,
     dpem_kmeans,
     dplloyd,
@@ -66,6 +67,34 @@ def test_nicv_invariant_under_permutations():
 def test_nicv_rejects_empty_centers():
     with pytest.raises(DataError):
         nicv(BoundedDataset(np.zeros((2, 2))), np.zeros((0, 2)))
+
+
+def nearest_cases():
+    rng = np.random.default_rng(31)
+    for n, k, d in ((300, 1, 2), (300, 4, 1), (200, 3, 50), (500, 5, 3)):
+        yield _uniform_ball(n, d, rng), _uniform_ball(k, d, rng), False
+    # exact ties: a duplicated center that some rows sit on, and rows
+    # midway between two centers on a line
+    X, centers = _uniform_ball(400, 3, rng), _uniform_ball(4, 3, rng)
+    centers[2] = centers[0]
+    X[:40] = centers[0]
+    yield X, centers, True
+    yield (np.linspace(-1.0, 1.0, 41)[:, None], np.array([[0.5], [-0.5], [0.5]]),
+           True)
+
+
+def test_nearest_equals_cube_argmin_exactly():
+    # reference: the (N, k, d) cube of squared differences summed left to
+    # right over coordinates (cumsum is sequential), then argmin / min
+    for X, centers, ties in nearest_cases():
+        dists = np.cumsum((X[:, None, :] - centers[None]) ** 2, axis=2)[:, :, -1]
+        ref_min = dists.min(axis=1)
+        assert ties == bool(((dists == ref_min[:, None]).sum(axis=1) > 1).any())
+        labels, min_sq = _nearest(X, centers)
+        assert np.array_equal(labels, dists.argmin(axis=1))
+        assert np.array_equal(min_sq, ref_min)
+        assert np.array_equal(_assign(X, centers), labels)
+        assert nicv(BoundedDataset(X), centers) == ref_min.mean()
 
 
 # --- noise-free limits -----------------------------------------------------------
