@@ -82,7 +82,6 @@ class CompositionPlan:
     components: int
     delta_i: float
     method: str = "zcdp"
-    advanced_slack: Optional[float] = None
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
@@ -93,8 +92,6 @@ class CompositionPlan:
             raise ValueError("iterations and components must be nonnegative")
         if not 0.0 < self.delta_i < 1.0:
             raise ValueError("delta_i must lie in (0, 1)")
-        if self.advanced_slack is not None and not 0.0 < self.advanced_slack < 1.0:
-            raise ValueError("advanced_slack must lie in (0, 1)")
 
     @property
     def n_mechanisms(self) -> int:
@@ -361,12 +358,11 @@ def advanced_compose(plan: CompositionPlan, eps_i: float,
 
 
 def _search(charges_at: Callable[[float], list[tuple]], method: str,
-            total: PrivacyBudget, slack: Optional[float] = None,
-            max_order: int = DEFAULT_MAX_ORDER) -> float:
+            total: PrivacyBudget, max_order: int = DEFAULT_MAX_ORDER) -> float:
     """Bisect for the largest eps_i in [EPS_I_LO, EPS_I_HI] whose charges
     compose inside ``total`` (the spend grows with eps_i)."""
     def feasible(eps_i: float) -> bool:
-        spend = compose(charges_at(eps_i), method, total.delta, slack, max_order)
+        spend = compose(charges_at(eps_i), method, total.delta, max_order=max_order)
         return (spend.epsilon <= total.epsilon
                 and spend.delta <= total.delta * (1 + 1e-12))
 
@@ -405,7 +401,7 @@ def _calibrate(plan: CompositionPlan, method: str, total: PrivacyBudget,
             f"max_order={max_order}; needs at least "
             f"{math.ceil(math.log(1.0 / rest) / total.epsilon)} orders"
         )
-    return _search(plan.charges, method, total, plan.advanced_slack, max_order)
+    return _search(plan.charges, method, total, max_order)
 
 
 def calibrate(plan: CompositionPlan, total: PrivacyBudget,
@@ -414,9 +410,8 @@ def calibrate(plan: CompositionPlan, total: PrivacyBudget,
 
     Linear composition inverts in closed form, eps / J(2K+1). The other
     methods bisect over ``compose(plan.charges(eps_i), ...)``; advanced
-    composition takes the plan's slack, by default the delta left after the
-    Gaussian delta_i mass, and the moments accountant evaluates its tail at
-    that remaining delta.
+    composition takes as its slack the delta left after the Gaussian delta_i
+    mass, and the moments accountant evaluates its tail at that same delta.
     """
     return _calibrate(plan, plan.method, total, max_order)
 

@@ -1,4 +1,5 @@
-"""Bounded datasets and the unit-ball preprocessing step.
+"""Bounded datasets, the unit-ball preprocessing step and data-free points
+inside the ball.
 
 All estimators in this package assume every data row lies inside the unit
 L2 ball; the sensitivity bounds used by the noise mechanisms are derived
@@ -52,6 +53,14 @@ class BoundedDataset:
     @property
     def d(self) -> int:
         return self.rows.shape[1]
+
+
+def _uniform_ball(k: int, d: int, rng: np.random.Generator) -> np.ndarray:
+    """k points uniform in the unit L2 ball."""
+    direc = rng.normal(size=(k, d))
+    direc /= np.linalg.norm(direc, axis=1, keepdims=True)
+    radius = rng.uniform(size=(k, 1)) ** (1.0 / d)
+    return direc * radius
 
 
 def preprocess(raw: np.ndarray) -> BoundedDataset:

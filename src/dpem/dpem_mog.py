@@ -7,9 +7,10 @@ Denominators use the noised counts, so only the gamma-weighted numerator
 sums are data-sensitive; that is what the 2/N, 2 sqrt(d)/N_k and 2/N_k
 sensitivity bounds cover.
 
-Per-iteration draw order is fixed: weights, then means 1..K, then
-covariances 1..K. One run must own its RNG stream; independent runs can go
-in parallel.
+The seed ``mog.init_params`` reads no row, so these releases are the
+run's only reads of the data. Per-iteration draw order is fixed: weights,
+then means 1..K, then covariances 1..K. One run must own its RNG stream;
+independent runs can go in parallel.
 """
 from __future__ import annotations
 

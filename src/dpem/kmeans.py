@@ -34,7 +34,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .accountant import PrivacyBudget, zcdp_calibrate_pure
-from .data import BoundedDataset
+from .data import BoundedDataset, _uniform_ball
 from .errors import DataError
 from .mechanisms import AccountingTrace, Release
 
@@ -82,14 +82,6 @@ def _nearest(X: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 def _assign(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return _nearest(X, centers)[0]
-
-
-def _uniform_ball(k: int, d: int, rng: np.random.Generator) -> np.ndarray:
-    """k points uniform in the unit L2 ball."""
-    direc = rng.normal(size=(k, d))
-    direc /= np.linalg.norm(direc, axis=1, keepdims=True)
-    radius = rng.uniform(size=(k, 1)) ** (1.0 / d)
-    return direc * radius
 
 
 def _counts_and_sums(X: np.ndarray, labels: np.ndarray,

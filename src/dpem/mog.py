@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import BoundedDataset
+from .data import BoundedDataset, _uniform_ball
 from .errors import DegenerateComponentError, SingularCovarianceError
 from .mechanisms import psd_project
 
@@ -267,28 +267,13 @@ def m_step_map(data: BoundedDataset, resp: Responsibilities,
 
 def init_params(data: BoundedDataset, n_components: int,
                 rng: np.random.Generator) -> MoGParams:
-    """Seed EM: distance-weighted sampling of means, shared global covariance,
-    uniform weights."""
-    X = data.rows
-    n, d = X.shape
-    idx = int(rng.integers(n))
-    centers = [X[idx]]
-    for _ in range(1, n_components):
-        d2 = np.min(
-            [((X - c) ** 2).sum(axis=1) for c in centers], axis=0
-        )
-        total = d2.sum()
-        if total <= 0:
-            probs = np.full(n, 1.0 / n)
-        else:
-            probs = d2 / total
-        centers.append(X[int(rng.choice(n, p=probs))])
-    means = np.array(centers)
-    global_cov = np.atleast_2d(np.cov(X.T)) if n > 1 else np.eye(d)
-    global_cov = psd_project(0.5 * (global_cov + global_cov.T), PSD_FLOOR)
-    covs = np.repeat(global_cov[None, :, :], n_components, axis=0)
+    """Seed EM without reading a row: means uniform in the unit ball, as
+    k-means seeds its centers, every covariance I/d and uniform weights.
+    Only ``data.d`` is read, so a private fit's seed costs no budget."""
+    d = data.d
+    covs = np.repeat(np.eye(d)[None] / d, n_components, axis=0)
     weights = np.full(n_components, 1.0 / n_components)
-    return MoGParams(weights, means, covs)
+    return MoGParams(weights, _uniform_ball(n_components, d, rng), covs)
 
 
 def _reassign_degenerate(resp: Responsibilities, n: int,
@@ -310,8 +295,7 @@ def _reassign_degenerate(resp: Responsibilities, n: int,
 
 
 def fit_em(data: BoundedDataset, n_components: int, iterations: int,
-           estimator: str = "mle", seed: int | None = None,
-           init: MoGParams | None = None) -> MoGParams:
+           estimator: str = "mle", seed: int | None = None) -> MoGParams:
     """Run plain (non-private) EM for a fixed number of iterations; MAP uses
     the prior ``MapPrior.default``.
 
@@ -322,7 +306,7 @@ def fit_em(data: BoundedDataset, n_components: int, iterations: int,
         raise ValueError(f"unknown estimator {estimator!r}")
     prior = MapPrior.default(n_components, data.d) if estimator == "map" else None
     rng = np.random.default_rng(seed)
-    params = init if init is not None else init_params(data, n_components, rng)
+    params = init_params(data, n_components, rng)
     for _ in range(iterations):
         resp = _reassign_degenerate(e_step(data, params), data.n, rng)
         if estimator == "mle":

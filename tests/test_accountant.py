@@ -29,9 +29,9 @@ from dpem.errors import UnattainableBudgetError
 from dpem.mechanisms import AccountingTrace, MechanismSpec, TraceRecord
 
 
-def ggg(j, k, method="zcdp", delta_i=1e-6, slack=None):
+def ggg(j, k, method="zcdp", delta_i=1e-6):
     return CompositionPlan(scenario="ggg", iterations=j, components=k,
-                           delta_i=delta_i, method=method, advanced_slack=slack)
+                           delta_i=delta_i, method=method)
 
 
 def llg(j, k, method="zcdp", delta_i=1e-6):
@@ -341,17 +341,6 @@ def test_ma_total_moment_itemizes_per_class_sigmas():
     expected = 2 * gaussian_moment(orders, 0.1, 1.0) \
         + 2 * gaussian_moment(orders, 0.2, 4.0)
     np.testing.assert_allclose(curve.values, expected, rtol=1e-12)
-
-
-def test_advanced_slack_override_respected():
-    plan = CompositionPlan(scenario="ggg", iterations=5, components=2,
-                           delta_i=1e-6, method="advanced",
-                           advanced_slack=1e-5)
-    total = PrivacyBudget(1.0, 1e-4)
-    eps_i = advanced_calibrate(plan, total)
-    spent = advanced_compose(plan, eps_i, 1e-5)
-    assert spent.epsilon <= total.epsilon + 1e-9
-    assert spent.delta == pytest.approx(1e-5 + plan.n_gaussian * 1e-6)
 
 
 def test_linear_calibrate_checks_delta_mass():

@@ -7,7 +7,11 @@ order or calibration moves them; a BLAS change in the last bits does not
 change; ``fit_em`` moved by rounding only, since it now divides by the
 counts recovered from its weights. The factor-analysis release was pinned
 from commit eeebc40, before every private path released through
-``mechanisms.Release``.
+``mechanisms.Release``. The six mixture entries (``run_dpem_mog`` and
+``fit_em``) were re-recorded from the child of commit 4bea9f2, where
+``mog.init_params`` stopped sampling rows and the data covariance and
+started from means uniform in the unit ball, covariances I/d and uniform
+weights: the seed, and so every value after it, moved on purpose.
 """
 import numpy as np
 import pytest
@@ -22,115 +26,120 @@ from dpem.mog import fit_em
 
 RTOL = 1e-12
 
-EXPECTED = {('ggg', 'zcdp', 'map'): {'weights': [0.7346475697001009, 0.2653524302998991],
-                          'means': [[-0.34305834297709203, -0.45784047320387333],
-                                    [0.11149054267093186, 0.5614072228423044]],
-                          'covariances': [[[0.046637049187457875, 0.0406175696774238],
-                                           [0.0406175696774238, 0.035376787512979645]],
-                                          [[0.18482141870484511, 0.09260483751626358],
-                                           [0.09260483751626358,
-                                            0.046400937796422535]]],
+EXPECTED = {('ggg', 'zcdp', 'map'): {'weights': [0.23806122629906734, 0.7619387737009327],
+                          'means': [[-0.46408313187612943, 0.025885575771035008],
+                                    [-0.22699376448822486, -0.1339262838134166]],
+                          'covariances': [[[0.33066066931332877, 0.18220967554553424],
+                                           [0.18220967554553424, 0.1004074569814489]],
+                                          [[0.003812594544265335,
+                                            -0.024436248244321543],
+                                           [-0.024436248244321543,
+                                            0.15666252874431755]]],
                           'sensitivity': [0.006666666666666667,
-                                          0.010188114587916564,
-                                          0.018922760484338306,
-                                          0.009837331090552194,
-                                          0.017747358907886004,
+                                          np.float64(0.010455507538469673),
+                                          np.float64(0.018064684237424133),
+                                          np.float64(0.010086402922207532),
+                                          np.float64(0.016990439971437864),
                                           0.006666666666666667,
-                                          0.009014549056488196,
-                                          0.024957436978461735,
-                                          0.008738830887429393,
-                                          0.022952511473381548],
+                                          np.float64(0.027818543402661353),
+                                          np.float64(0.00869166498001424),
+                                          np.float64(0.025350312693853818),
+                                          np.float64(0.008435063372789087)],
                           'noise_scale': [0.09287459530218646,
-                                          0.14193255288675796,
-                                          0.2636165582974689,
-                                          0.13704572158329772,
-                                          0.24724181643788495,
+                                          np.float64(0.14565765469714959),
+                                          np.float64(0.25166253567188296),
+                                          np.float64(0.14051558841822231),
+                                          np.float64(0.2366970354530076),
                                           0.09287459530218646,
-                                          0.1255833893179572,
-                                          0.34768677887316857,
-                                          0.12174230731263777,
-                                          0.31975578213886535]},
- ('ggg', 'zcdp', 'mle'): {'weights': [0.7362118868314349, 0.26378811316856504],
-                          'means': [[-0.34461160207325425, -0.45991342928890455],
-                                    [0.11289938228001217, 0.5685013916696864]],
-                          'covariances': [[[0.047353162025590805, 0.04114681330878746],
-                                           [0.04114681330878746, 0.03575565560692283]],
-                                          [[0.20191481019425514, 0.10032262333262913],
-                                           [0.10032262333262913, 0.0498471632845109]]],
+                                          np.float64(0.38754539406277233),
+                                          np.float64(0.12108523012815135),
+                                          np.float64(0.35316000483383303),
+                                          np.float64(0.11751046456441237)]},
+ ('ggg', 'zcdp', 'mle'): {'weights': [0.22750480672784343, 0.7724951932721565],
+                          'means': [[-0.4742579110316506, 0.046328874205741166],
+                                    [-0.22968319741205645, -0.13859054083236963]],
+                          'covariances': [[[0.3802985412432365, 0.20869704599481445],
+                                           [0.20869704599481445, 0.11452831685978607]],
+                                          [[0.003859366215932939,
+                                            -0.02491958478064834],
+                                           [-0.02491958478064834,
+                                            0.16094624751838993]]],
                           'sensitivity': [0.006666666666666667,
-                                          0.010240279156646648,
-                                          0.019103506018740175,
-                                          0.010240279156646648,
-                                          0.019103506018740175,
+                                          np.float64(0.010510453601903391),
+                                          np.float64(0.018229337853514667),
+                                          np.float64(0.010510453601903391),
+                                          np.float64(0.018229337853514667),
                                           0.006666666666666667,
-                                          0.00905536406829721,
-                                          0.025272809250531145,
-                                          0.00905536406829721,
-                                          0.025272809250531145],
+                                          np.float64(0.02930341016768838),
+                                          np.float64(0.008630042911241706),
+                                          np.float64(0.02930341016768838),
+                                          np.float64(0.008630042911241706)],
                           'noise_scale': [0.09287459530218646,
-                                          0.1426592673682459,
-                                          0.26613455855150653,
-                                          0.1426592673682459,
-                                          0.26613455855150653,
+                                          np.float64(0.1464231187078778),
+                                          np.float64(0.25395635636580044),
+                                          np.float64(0.1464231187078778),
+                                          np.float64(0.25395635636580044),
                                           0.09287459530218646,
-                                          0.1261519909735596,
-                                          0.3520802896938651,
-                                          0.1261519909735596,
-                                          0.3520802896938651]},
- ('llg', 'ma', 'map'): {'weights': [0.7434383698852493, 0.25656163011475075],
-                        'means': [[-0.1486390652425296, -0.40729188960179535],
-                                  [-0.18193479119488626, 0.16725223377197984]],
-                        'covariances': [[[0.26856991381614953, 0.22107017284203112],
-                                         [0.22107017284203112, 0.1819729960362246]],
-                                        [[0.5878135283707471, 0.5222624479789979],
-                                         [0.5222624479789979, 0.46402320334606506]]],
+                                          np.float64(0.40823135404470506),
+                                          np.float64(0.12022676142331147),
+                                          np.float64(0.40823135404470506),
+                                          np.float64(0.12022676142331147)]},
+ ('llg', 'ma', 'map'): {'weights': [0.868061578782064, 0.13193842121793592],
+                        'means': [[-0.43480437017004636, -0.2951202294996298],
+                                  [0.00994670438422035, -0.5210910012273101]],
+                        'covariances': [[[0.15494844011344328, -0.012562537661308784],
+                                         [-0.012562537661308784,
+                                          0.0010195218444154811]],
+                                        [[0.054096537602797735, -0.19067769422979447],
+                                         [-0.19067769422979447, 0.6721078814169733]]],
                         'sensitivity': [0.006666666666666667,
-                                        0.013007647465635064,
-                                        0.033450105748213096,
-                                        0.00891093245260707,
-                                        0.021844411618505137,
+                                        np.float64(0.014854168179884995),
+                                        np.float64(0.025347287818390123),
+                                        np.float64(0.01013104368908679),
+                                        np.float64(0.016865258866020815),
                                         0.006666666666666667,
-                                        0.012597752699249638,
-                                        0.036504494950233723,
-                                        0.008638622702164853,
-                                        0.02367379061167069],
+                                        np.float64(0.010789157082713132),
+                                        np.float64(0.07098502956525046),
+                                        np.float64(0.007430673760865462),
+                                        np.float64(0.042693623345017535)],
                         'noise_scale': [0.048134162033080505,
-                                        0.09391683161701006,
-                                        0.241513921516225,
-                                        0.34091456882363086,
-                                        0.8357237817406865,
+                                        np.float64(0.10724894070558193),
+                                        np.float64(0.18301056884242767),
+                                        np.float64(0.38759360026210343),
+                                        np.float64(0.6452312914487687),
                                         0.048134162033080505,
-                                        0.0909573404517539,
-                                        0.26356699123054783,
-                                        0.3304965388753376,
-                                        0.905712186880889]},
- ('llg', 'ma', 'mle'): {'weights': [0.7450612923511509, 0.25493870764884907],
-                        'means': [[-0.14930406227820286, -0.4091140747642022],
-                                  [-0.18431359553407778, 0.1694390631124443]],
-                        'covariances': [[[0.2776995367906132, 0.22842436970920738],
-                                         [0.22842436970920738, 0.18789429349758524]],
-                                        [[0.6485132089489722, 0.5762439987370517],
-                                         [0.5762439987370517, 0.5120301360722785]]],
+                                        np.float64(0.0778990552829508),
+                                        np.float64(0.5125207372525163),
+                                        np.float64(0.2842828126829052),
+                                        np.float64(1.6333731931641828)]},
+ ('llg', 'ma', 'mle'): {'weights': [0.8808535883985799, 0.11914641160142009],
+                        'means': [[-0.4326127220366106, -0.2995635633173543],
+                                  [0.020448417746264574, -0.5306835977723503]],
+                        'covariances': [[[0.15819472257031156, -0.013547609404927163],
+                                         [-0.013547609404927163,
+                                          0.0011612086202054878]],
+                                        [[0.0704779583426513, -0.247669958642603],
+                                         [-0.247669958642603, 0.870362176993455]]],
                         'sensitivity': [0.006666666666666667,
-                                        0.01306774468878622,
-                                        0.033850434468972235,
-                                        0.009240290884255226,
-                                        0.023935871759121114,
+                                        np.float64(0.014932590284348774),
+                                        np.float64(0.025576494632724912),
+                                        np.float64(0.010558935850743374),
+                                        np.float64(0.01808531279378112),
                                         0.006666666666666667,
-                                        0.012654113846216468,
-                                        0.03698179261505799,
-                                        0.00894780971056625,
-                                        0.026150076338542085],
+                                        np.float64(0.010703356993710163),
+                                        np.float64(0.07913029262988112),
+                                        np.float64(0.007568416311712916),
+                                        np.float64(0.05595356651586482)],
                         'noise_scale': [0.048134162033080505,
-                                        0.09435074103854446,
-                                        0.24440434464295244,
-                                        0.353515167954074,
-                                        0.9157388908038577,
+                                        np.float64(0.10781515804806713),
+                                        np.float64(0.1846654705334692),
+                                        np.float64(0.4039639041074083),
+                                        np.float64(0.6919081303695139),
                                         0.048134162033080505,
-                                        0.09136427493882465,
-                                        0.2670131397010472,
-                                        0.34232541943476674,
-                                        1.0004499581916215]},
+                                        np.float64(0.07727956797497255),
+                                        np.float64(0.5713305490757661),
+                                        np.float64(0.2895525689716635),
+                                        np.float64(2.140672270197663)]},
  ('dplloyd', 'linear'): {'centers': [[-0.22992451227319463, -0.4217749281185012],
                                      [-2.8217735491493636, 1.261754557537199],
                                      [-0.06319179744874434, 0.1138280317870482]],
@@ -159,20 +168,20 @@ EXPECTED = {('ggg', 'zcdp', 'map'): {'weights': [0.7346475697001009, 0.265352430
  ('fa',): {'moment': [[0.08824835530112794, 0.07668152228485155],
                       [0.07668152228485155, 0.21802637371829214]],
            'noise_scale': [0.05791483071865028]},
- ('fit_em', 'mle'): {'weights': [0.6165192585788966, 0.38348074142110344],
-                     'means': [[-0.22955128501741898, -0.4360966265129594],
-                               [-0.18276026368270057, 0.03334036128696755]],
-                     'covariances': [[[0.030221712294066668, 0.016431609471116635],
-                                      [0.016431609471116635, 0.05558135233701847]],
-                                     [[0.04443233473910509, 0.03864861504351689],
-                                      [0.03864861504351689, 0.07560578680651985]]]},
- ('fit_em', 'map'): {'weights': [0.6148039092037475, 0.3851960907962525],
-                     'means': [[-0.23145859731986104, -0.43828276492868035],
-                               [-0.1762863234635333, 0.03914174260999215]],
-                     'covariances': [[[0.029683153900975846, 0.01553412622306004],
-                                      [0.01553412622306004, 0.05276726774711662]],
-                                     [[0.04223519016640218, 0.03465665533369881],
-                                      [0.03465665533369881, 0.06867921772971645]]]}}
+ ('fit_em', 'mle'): {'weights': [0.6401241488273991, 0.35987585117260085],
+                     'means': [[-0.24274854423846368, -0.3430218985531788],
+                               [-0.15621671757416855, -0.10142381441130961]],
+                     'covariances': [[[0.03417210535307921, 0.020877551392981],
+                                      [0.020877551392981, 0.09191402826237308]],
+                                     [[0.03498297712826632, 0.03324568935323504],
+                                      [0.03324568935323504, 0.11970368456351423]]]},
+ ('fit_em', 'map'): {'weights': [0.6381471377322483, 0.36185286226775176],
+                     'means': [[-0.24355258489346937, -0.34671771268281587],
+                               [-0.15139874210105933, -0.09153940310782217]],
+                     'covariances': [[[0.033639537074714385, 0.01993500241471749],
+                                      [0.01993500241471749, 0.08796483264345692]],
+                                     [[0.03297987881724451, 0.030355247502021926],
+                                      [0.030355247502021926, 0.11033157676382634]]]}}
 
 
 @pytest.fixture(scope="module")

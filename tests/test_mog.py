@@ -4,7 +4,7 @@ from scipy.linalg import cholesky, solve_triangular
 from scipy.special import logsumexp
 from scipy.stats import norm
 
-from dpem.data import BoundedDataset, preprocess
+from dpem.data import BoundedDataset, _uniform_ball, preprocess
 from dpem.dataio import synth_mog
 from dpem.errors import DegenerateComponentError, SingularCovarianceError
 from dpem.mog import (
@@ -308,6 +308,29 @@ def test_log_likelihood_matches_direct_density_oracle():
     assert log_likelihood(data, params) == pytest.approx(total, abs=1e-10)
 
 
+# --- init_params ---------------------------------------------------------------
+
+
+class RowlessData:
+    """A dataset that has a dimension but refuses to show a row."""
+
+    d = 3
+
+    @property
+    def rows(self):
+        raise AssertionError("init_params read a data row")
+
+
+def test_init_params_reads_no_row():
+    params = init_params(RowlessData(), 4, np.random.default_rng(0))
+    assert isinstance(params, MoGParams)
+    # the same draws as a k-means seed from the same stream
+    np.testing.assert_array_equal(params.means,
+                                  _uniform_ball(4, 3, np.random.default_rng(0)))
+    np.testing.assert_array_equal(params.covariances, np.stack([np.eye(3) / 3] * 4))
+    np.testing.assert_array_equal(params.weights, np.full(4, 0.25))
+
+
 # --- EM loop -------------------------------------------------------------------
 
 
@@ -330,18 +353,6 @@ def test_fit_em_runs_fixed_iterations_map():
     params = fit_em(data, 2, 10, estimator="map", seed=1)
     assert params.weights.shape == (2,)
     assert abs(params.weights.sum() - 1.0) < 1e-9
-
-
-def test_fit_em_accepts_warm_start():
-    raw, _ = synth_mog(300, 2, 2, separation=4.0, seed=2)
-    data = preprocess(raw)
-    start = init_params(data, 2, np.random.default_rng(0))
-    warm = fit_em(data, 2, 3, estimator="mle", seed=5, init=start)
-    cold = fit_em(data, 2, 3, estimator="mle", seed=5)
-    # same data, same iteration count; warm start just replaces the seeding
-    assert warm.weights.shape == cold.weights.shape
-    ll_warm = log_likelihood(data, warm)
-    assert np.isfinite(ll_warm)
 
 
 def test_params_invariant_validation():
