@@ -56,7 +56,6 @@ from .fa import (
 from .kmeans import Clustering, dplloyd, dpem_kmeans, lloyd, nicv
 from .mechanisms import (
     AccountingTrace,
-    MechanismSpec,
     TraceRecord,
     analyze_gauss_perturb,
     gaussian_sigma,
@@ -87,7 +86,7 @@ __all__ = [
     "laplace_moment", "laplace_scale", "linear_calibrate", "linear_compose",
     "lloyd", "load_csv", "log_likelihood", "m_step_map", "m_step_mle",
     "ma_calibrate", "ma_tail_epsilon", "ma_total_moment", "MapPrior",
-    "MechanismSpec", "MoGParams", "MomentCurve", "nicv", "perturb_mean",
+    "MoGParams", "MomentCurve", "nicv", "perturb_mean",
     "perturb_second_moment", "perturb_simplex", "preprocess", "PrivacyBudget",
     "psd_project", "Responsibilities", "run_dpem_mog", "run_fa_em",
     "second_moment", "SecondMoment", "SingularCovarianceError", "summarize",

@@ -29,6 +29,7 @@ from . import dataio
 from .accountant import (
     DEFAULT_MAX_ORDER,
     METHODS,
+    SCENARIOS,
     CompositionPlan,
     PrivacyBudget,
     calibrate,
@@ -39,7 +40,7 @@ from .dpem_mog import DpEmConfig, _PrivateRelease, run_dpem_mog
 from .errors import DataError, DpemError, UnattainableBudgetError
 from .fa import fa_average_log_likelihood, perturb_second_moment, run_fa_em, second_moment
 from .kmeans import dplloyd, dpem_kmeans, lloyd, nicv
-from .mechanisms import Release, gaussian_sigma
+from .mechanisms import gaussian_sigma
 from .mog import fit_em, log_likelihood
 
 EXIT_OK = 0
@@ -62,6 +63,7 @@ IN_UNIT = (lambda v: 0 < v < 1, "in (0, 1)")
 # exit EXIT_FLAGS on any other value before doing anything
 FLAG_RULES = {"eps": (lambda v: 0 < v < math.inf, "finite and positive"),
               "delta": IN_UNIT, "delta_i": IN_UNIT,
+              **dict.fromkeys(("seed", "synth_seed"), (lambda v: v >= 0, "at least 0")),
               **dict.fromkeys(("iters", "k", "components", "max_order", "jobs", "seeds",
                                "folds", "n", "synth_n", "synth_d", "synth_k"), AT_LEAST_1)}
 AUDIT_SLACK = 1e-9
@@ -87,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cal.add_argument("--delta-i", type=float, default=1e-6)
     cal.add_argument("--iters", type=int, required=True)
     cal.add_argument("--components", type=int, required=True)
-    cal.add_argument("--scenario", choices=("llg", "ggg"), default="ggg")
+    cal.add_argument("--scenario", choices=SCENARIOS, default="ggg")
     cal.add_argument("--method",
                      choices=METHODS + ("all",), default="all")
     cal.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER,
@@ -121,7 +123,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          f"{model}: {','.join(methods)}"
                          for model, methods in FIT_METHODS.items())
                      + f"); default: all but {','.join(OPT_IN_METHODS)}")
-    fit.add_argument("--scenario", choices=("llg", "ggg"), default="ggg")
+    fit.add_argument("--scenario", choices=SCENARIOS, default="ggg")
     fit.add_argument("--estimator", choices=("mle", "map"), default="map")
     fit.add_argument("--folds", type=int, default=1,
                      help="cross-validation folds (1 = single 90/10 split)")
@@ -153,13 +155,13 @@ def _calibrate_row(method: str, args) -> dict:
     row["gauss_sigma_mult"] = gaussian_sigma(1.0, eps_i, args.delta_i)
     row["laplace_scale_mult"] = 1.0 / eps_i
     if args.n:  # balanced components: N_k = n / K
-        spec = Release(eps_i, args.delta_i, rng=None).spec
+        release = _PrivateRelease(args.scenario, eps_i, args.delta_i, None, args.n, None)
         for col, label, count in (("noise_weights", "weights", args.n),
                                   ("noise_means", "mean", args.n / args.components),
                                   ("noise_covs", "covariance", args.n / args.components)):
             if args.scenario == "ggg" or label != "mean":  # llg: an L1 mean needs d
-                row[col] = spec(*_PrivateRelease.mechanism(
-                    args.scenario, label, count)).noise_scale
+                row[col] = release.scale(*release.mechanism(
+                    args.scenario, label, count))[1]
     return row
 
 
@@ -322,6 +324,13 @@ def _listed(flag: str, text: str, parse, ok, what: str) -> list | None:
 
 def cmd_fit(args) -> int:
     table = FIT_METHODS[args.model]
+    env_seed = os.environ.get("DPEM_SEED")
+    if env_seed is not None:  # overrides --seed, under the same rule
+        ok, need = FLAG_RULES["seed"]
+        args.seed = int(env_seed) if env_seed.strip().isdecimal() else None
+        if args.seed is None or not ok(args.seed):
+            print(f"DPEM_SEED must be an integer {need}, got {env_seed!r}", file=sys.stderr)
+            return EXIT_FLAGS
     eps_ok, need = FLAG_RULES["eps"]
     eps_list = _listed("eps-list", args.eps_list, float, eps_ok, f"{need} numbers")
     if eps_list is None or not _flags_ok(vars(args)):
@@ -344,7 +353,7 @@ def cmd_fit(args) -> int:
               file=sys.stderr)
         return EXIT_BUDGET
 
-    master_seed = int(os.environ.get("DPEM_SEED", args.seed))
+    master_seed = args.seed
     # --folds 1 is the first of ten folds: a single 90/10 split
     splits = dataio.cv_split(bounded.rows, args.folds if args.folds > 1 else 10,
                              seed=master_seed)[:args.folds]

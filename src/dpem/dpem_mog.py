@@ -4,8 +4,9 @@ Private EM is plain EM plus one release step: each iteration runs the
 E-step on the released parameters, then ``mog.m_step`` with
 ``_PrivateRelease``, a ``Release`` noising weights, means and covariances.
 Denominators use the noised counts, so only the gamma-weighted numerator
-sums are data-sensitive; that is what the 2/N, 2 sqrt(d)/N_k and 2/N_k
-sensitivity bounds cover.
+sums are data-sensitive: one row moves the weights by at most 1/N, a mean
+or covariance by at most 1/N_k, and the release step doubles these bounds
+under the replace-one relation the mixture runs under.
 
 The seed ``mog.init_params`` reads no row, so these releases are the
 run's only reads of the data. Per-iteration draw order is fixed: weights,
@@ -68,24 +69,23 @@ class DpEmConfig:
 
 
 class _PrivateRelease(Release):
-    """Private EM's release step: the mixture's replace-one sensitivities
-    and the adapters ``mog.m_step`` calls. ``disable_noise`` runs at
-    ``eps_i = inf``."""
+    """Private EM's release step under the replace-one relation: the
+    mixture's per-row bounds and the adapters ``mog.m_step`` calls."""
 
-    def __init__(self, cfg: DpEmConfig, n: int, d: int, rng: np.random.Generator):
-        super().__init__(math.inf if cfg.disable_noise else calibrate(
-            cfg.plan(), cfg.total, max_order=cfg.max_order), cfg.delta_i, rng)
-        self.scenario, self.n, self.d = cfg.scenario, n, d
+    def __init__(self, scenario: str, eps_i: float, delta_i: float,
+                 rng: Optional[np.random.Generator], n: int, d: Optional[int]):
+        super().__init__("replace-one", eps_i, delta_i, rng)
+        self.scenario, self.n, self.d = scenario, n, d
 
     @staticmethod
     def mechanism(scenario: str, label: str, count: float,
                   d: Optional[int] = None) -> tuple[str, float]:
-        """(kind, sensitivity) of a ``label`` release divided by ``count`` (N
-        for the weights): Gaussian of L2 sensitivity 2/count, except that llg
-        releases the weights and means by Laplace, a mean's L1 2 sqrt(d)/count."""
+        """(kind, bound) of a ``label`` release divided by ``count`` (N for the
+        weights): Gaussian of L2 bound 1/count, except that llg releases the
+        weights and means by Laplace, a mean's L1 bound sqrt(d)/count."""
         kind = "laplace" if scenario == "llg" and label != "covariance" else "gaussian"
-        return kind, (2.0 * math.sqrt(d) if kind == "laplace" and label == "mean"
-                      else 2.0) / count
+        return kind, (math.sqrt(d) if kind == "laplace" and label == "mean"
+                      else 1.0) / count
 
     def weights(self, pi: np.ndarray) -> np.ndarray:
         return self(pi, *self.mechanism(self.scenario, "weights", self.n), "weights",
@@ -97,7 +97,7 @@ class _PrivateRelease(Release):
 
     def covariance(self, k: int, cov: np.ndarray, denom: float) -> np.ndarray:
         return self(cov, *self.mechanism(self.scenario, "covariance", denom),
-                    "covariance", k, perturb=analyze_gauss_perturb, psd_floor=PSD_FLOOR)
+                    "covariance", k, perturb=analyze_gauss_perturb)
 
 
 def run_dpem_mog(data: BoundedDataset, cfg: DpEmConfig
@@ -112,7 +112,9 @@ def run_dpem_mog(data: BoundedDataset, cfg: DpEmConfig
         raise DataError(f"need at least {K} rows, got {data.n}")
     prior = MapPrior.default(K, data.d) if cfg.estimator == "map" else None
     rng = np.random.default_rng(cfg.seed)
-    release = _PrivateRelease(cfg, data.n, data.d, rng)
+    eps_i = math.inf if cfg.disable_noise else calibrate(
+        cfg.plan(), cfg.total, max_order=cfg.max_order)
+    release = _PrivateRelease(cfg.scenario, eps_i, cfg.delta_i, rng, data.n, data.d)
     params = init_params(data, K, rng)
     for j in range(cfg.iterations):
         release.iteration = j

@@ -95,18 +95,19 @@ def perturb_second_moment(mom: SecondMoment, total: PrivacyBudget,
                           ) -> tuple[SecondMoment, AccountingTrace]:
     """One-shot symmetric Gaussian perturbation of the second moment.
 
-    Swapping one unit-ball row moves the matrix by at most 2/N in Frobenius
-    norm, which sets the mechanism's sensitivity. Returns the perturbed
-    moment and a single-entry accounting trace.
+    One unit-ball row contributes at most 1/N to the matrix in Frobenius
+    norm, so replacing it (the relation this release runs under) moves the
+    matrix by at most 2/N. Returns the perturbed moment, projected at
+    ``mechanisms.PSD_FLOOR``, and a single-entry accounting trace.
     """
     if not 0.0 < total.epsilon < 1.0:
         raise UnattainableBudgetError(
             f"the one-shot Gaussian release needs epsilon in (0, 1), "
             f"got {total.epsilon}"
         )
-    release = Release(total.epsilon, total.delta, rng)
-    noised = release(mom.matrix, "gaussian", 2.0 / mom.n, "second_moment",
-                     perturb=analyze_gauss_perturb, psd_floor=PSI_FLOOR)
+    release = Release("replace-one", total.epsilon, total.delta, rng)
+    noised = release(mom.matrix, "gaussian", 1.0 / mom.n, "second_moment",
+                     perturb=analyze_gauss_perturb)
     return SecondMoment(noised, mom.n), release.trace
 
 

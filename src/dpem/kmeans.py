@@ -153,7 +153,7 @@ def dplloyd(data: BoundedDataset, k: int, iterations: int, eps: float,
             raise ValueError("zcdp composition needs a delta")
         else:
             eps_i = zcdp_calibrate_pure(iterations, PrivacyBudget(eps, delta))
-    release = Release(eps_i, None, rng)
+    release = Release("add-remove", eps_i, None, rng)
 
     def update(centers, counts, sums, j):
         release.iteration = j
@@ -181,7 +181,7 @@ def dpem_kmeans(data: BoundedDataset, k: int, iterations: int,
     """
     if eps_i is None:
         eps_i = zcdp_calibrate_pure(2 * iterations, total)
-    release = Release(eps_i, None, rng)
+    release = Release("add-remove", eps_i, None, rng)
     sqrt_d = math.sqrt(data.d)
 
     def update(centers, counts, sums, j):

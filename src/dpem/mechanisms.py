@@ -4,9 +4,10 @@ Laplace and Gaussian perturbation of released statistics, symmetric-matrix
 (upper-triangle) Gaussian perturbation for covariances, and the simplex /
 positive-semidefinite projections that keep released parameters valid.
 
-Every private path releases through ``Release``. At ``eps_i = inf`` every
-noise scale is 0 and every mechanism the identity, which lets the private
-pipelines be exercised against their non-private counterparts in tests.
+Every private path releases through ``Release``, under one ``ROW_CHANGE``
+relation. At ``eps_i = inf`` every noise scale is 0 and every mechanism the
+identity, which lets the private pipelines be exercised against their
+non-private counterparts in tests.
 """
 from __future__ import annotations
 
@@ -21,6 +22,11 @@ from .errors import DataError
 # Noised mixture-component and cluster counts are clamped here before they
 # enter a sensitivity denominator (one effective datapoint).
 COUNT_FLOOR = 1.0
+# Every released covariance-like matrix is projected onto eigenvalues >= this.
+PSD_FLOOR = 1e-6
+# Sensitivity per unit of one row's largest contribution: a replaced row takes
+# out one contribution and puts in another (Dwork & Roth 2014, section 2.3).
+ROW_CHANGE = {"replace-one": 2.0, "add-remove": 1.0}
 
 
 def gaussian_sigma(sensitivity: float, eps_i: float, delta_i: float) -> float:
@@ -47,37 +53,6 @@ def laplace_scale(sensitivity: float, eps_i: float) -> float:
     if eps_i <= 0:
         raise ValueError(f"eps_i must be positive, got {eps_i}")
     return sensitivity / eps_i
-
-
-@dataclass(frozen=True)
-class MechanismSpec:
-    """One noise mechanism: kind, sensitivity and noise scale.
-
-    ``noise_scale`` is the Laplace scale b or the Gaussian sigma. Scale 0 is
-    the identity limit used in noise-free regression tests.
-    """
-
-    kind: str  # "laplace" | "gaussian"
-    sensitivity: float
-    noise_scale: float
-
-    def __post_init__(self):
-        if self.kind not in ("laplace", "gaussian"):
-            raise ValueError(f"unknown mechanism kind {self.kind!r}")
-        if self.sensitivity < 0:
-            raise ValueError("sensitivity must be nonnegative")
-        if self.noise_scale < 0:
-            raise ValueError("noise scale must be nonnegative")
-
-    @classmethod
-    def laplace(cls, sensitivity: float, eps_i: float) -> "MechanismSpec":
-        return cls("laplace", sensitivity, laplace_scale(sensitivity, eps_i))
-
-    @classmethod
-    def gaussian(cls, sensitivity: float, eps_i: float,
-                 delta_i: float) -> "MechanismSpec":
-        return cls("gaussian", sensitivity,
-                   gaussian_sigma(sensitivity, eps_i, delta_i))
 
 
 @dataclass(frozen=True)
@@ -115,10 +90,13 @@ class TraceRecord:
 
 
 class AccountingTrace:
-    """Ordered list of mechanism invocations for one private run."""
+    """Ordered list of mechanism invocations for one private run, and the
+    ``ROW_CHANGE`` relation they hold under (None for a hand-built trace)."""
 
-    def __init__(self, records: list[TraceRecord] | None = None):
+    def __init__(self, records: list[TraceRecord] | None = None,
+                 neighbours: Optional[str] = None):
         self.records: list[TraceRecord] = list(records) if records else []
+        self.neighbours = neighbours
 
     def append(self, record: TraceRecord) -> None:
         self.records.append(record)
@@ -177,14 +155,6 @@ class AccountingTrace:
                         max(m.zcdp_rho() for m in g), 1))
         return out
 
-    def gaussian_delta(self) -> float:
-        """delta_i mass of the Gaussian releases, charged once per group."""
-        return charge_delta(self.charges())
-
-    def total_rho(self) -> float:
-        """zCDP cost of the run, charged once per group."""
-        return charge_rho(self.charges())
-
     def flagged(self) -> list[TraceRecord]:
         return [r for r in self.records if r.flagged]
 
@@ -202,10 +172,12 @@ def charge_delta(charges: list[tuple]) -> float:
 def _draw(kind: str, scale: float, size, rng: np.random.Generator) -> np.ndarray:
     if kind == "laplace":
         return rng.laplace(0.0, scale, size=size)
-    return rng.normal(0.0, scale, size=size)
+    if kind == "gaussian":
+        return rng.normal(0.0, scale, size=size)
+    raise ValueError(f"unknown mechanism kind {kind!r}")
 
 
-def perturb_simplex(weights: np.ndarray, spec: MechanismSpec,
+def perturb_simplex(weights: np.ndarray, kind: str, scale: float,
                     rng: np.random.Generator) -> np.ndarray:
     """Noise a probability vector, clip to [0, 1] and renormalize.
 
@@ -213,7 +185,7 @@ def perturb_simplex(weights: np.ndarray, spec: MechanismSpec,
     clip-renormalize rule is undefined at the all-zero corner).
     """
     w = np.asarray(weights, dtype=float)
-    noisy = w + _draw(spec.kind, spec.noise_scale, w.shape, rng)
+    noisy = w + _draw(kind, scale, w.shape, rng)
     clipped = np.clip(noisy, 0.0, 1.0)
     total = clipped.sum()
     if total <= 0.0:
@@ -221,11 +193,11 @@ def perturb_simplex(weights: np.ndarray, spec: MechanismSpec,
     return clipped / total
 
 
-def perturb_mean(mean: np.ndarray, spec: MechanismSpec,
+def perturb_mean(mean: np.ndarray, kind: str, scale: float,
                  rng: np.random.Generator) -> np.ndarray:
     """Add elementwise i.i.d. noise to a mean vector (no projection)."""
     m = np.asarray(mean, dtype=float)
-    return m + _draw(spec.kind, spec.noise_scale, m.shape, rng)
+    return m + _draw(kind, scale, m.shape, rng)
 
 
 def psd_project(mat: np.ndarray, floor: float) -> np.ndarray:
@@ -249,17 +221,16 @@ def psd_project(mat: np.ndarray, floor: float) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
-def analyze_gauss_perturb(cov: np.ndarray, spec: MechanismSpec,
-                          rng: np.random.Generator,
-                          psd_floor: float = 1e-6) -> np.ndarray:
+def analyze_gauss_perturb(cov: np.ndarray, kind: str, scale: float,
+                          rng: np.random.Generator) -> np.ndarray:
     """Symmetric Gaussian perturbation of a covariance-like matrix.
 
-    Draws d(d+1)/2 i.i.d. N(0, sigma^2) variates into the upper triangle
+    Draws d(d+1)/2 i.i.d. N(0, scale^2) variates into the upper triangle
     (diagonal included), mirrors them to the lower triangle, adds the
-    resulting symmetric matrix, and projects back to the PSD cone.
-    """
-    if spec.kind != "gaussian":
-        raise ValueError("matrix perturbation requires a Gaussian spec")
+    resulting symmetric matrix, and projects back to the PSD cone at
+    ``PSD_FLOOR``."""
+    if kind != "gaussian":
+        raise ValueError("matrix perturbation requires Gaussian noise")
     cov = np.asarray(cov, dtype=float)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
         raise DataError(f"expected a square matrix, got shape {cov.shape}")
@@ -268,44 +239,51 @@ def analyze_gauss_perturb(cov: np.ndarray, spec: MechanismSpec,
     d = cov.shape[0]
     iu = np.triu_indices(d)
     noise = np.zeros((d, d))
-    noise[iu] = rng.normal(0.0, spec.noise_scale, size=iu[0].shape[0])
+    noise[iu] = rng.normal(0.0, scale, size=iu[0].shape[0])
     noise = noise + np.triu(noise, 1).T
-    return psd_project(cov + noise, psd_floor)
+    return psd_project(cov + noise, PSD_FLOOR)
 
 
 class Release:
     """The release step of one private run, through which it reads the data.
 
-    A call records the mechanism of ``(kind, sensitivity)`` at ``(eps_i,
-    delta_i)`` in ``trace`` and returns ``perturb(value, spec, rng,
-    **perturb_kwargs)``; the record of a ``component`` whose count
-    ``counts`` floored is flagged. Set ``iteration`` before each iteration.
+    A call passes ``bound``, the most one row adds to the statistic after
+    any public denominator (L1 for Laplace, L2 for Gaussian), which the
+    run's ``neighbours`` relation scales into the sensitivity. It records
+    the mechanism in ``trace`` and returns ``perturb(value, kind, scale,
+    rng)``, ``scale`` being the Laplace b or the Gaussian sigma. The record
+    of a ``component`` whose count ``counts`` floored is flagged. Set
+    ``iteration`` before each iteration.
     """
 
-    def __init__(self, eps_i: float, delta_i: Optional[float], rng: np.random.Generator):
+    def __init__(self, neighbours: str, eps_i: float, delta_i: Optional[float],
+                 rng: Optional[np.random.Generator]):
+        self.row_change = ROW_CHANGE[neighbours]
         self.eps_i, self.delta_i, self.rng = eps_i, delta_i, rng
-        self.trace = AccountingTrace()
+        self.trace = AccountingTrace(neighbours=neighbours)
         self.iteration = 0
         self.floored = None
 
-    def spec(self, kind: str, sensitivity: float) -> MechanismSpec:
-        """The mechanism of a ``kind`` release; noise scale 0 at ``eps_i = inf``."""
+    def scale(self, kind: str, bound: float) -> tuple[float, float]:
+        """(sensitivity, noise scale) of a ``kind`` release of per-row
+        ``bound``; noise scale 0 at ``eps_i = inf``."""
+        sensitivity = self.row_change * bound
         if math.isinf(self.eps_i):
-            return MechanismSpec(kind, sensitivity, 0.0)
+            return sensitivity, 0.0
         if kind == "laplace":
-            return MechanismSpec.laplace(sensitivity, self.eps_i)
-        return MechanismSpec.gaussian(sensitivity, self.eps_i, self.delta_i)
+            return sensitivity, laplace_scale(sensitivity, self.eps_i)
+        return sensitivity, gaussian_sigma(sensitivity, self.eps_i, self.delta_i)
 
-    def __call__(self, value, kind: str, sensitivity: float, label: str,
+    def __call__(self, value, kind: str, bound: float, label: str,
                  component: Optional[int] = None, parallel: bool = False,
-                 perturb=perturb_mean, **perturb_kwargs):
-        spec, gaussian = self.spec(kind, sensitivity), kind == "gaussian"
+                 perturb=perturb_mean):
+        (sensitivity, scale), gaussian = self.scale(kind, bound), kind == "gaussian"
         flagged = component is not None and bool(self.floored[component])
         self.trace.append(TraceRecord(
-            kind, sensitivity, spec.noise_scale, self.eps_i,
+            kind, sensitivity, scale, self.eps_i,
             self.delta_i if gaussian else None, label, self.iteration, component,
-            flagged, spec.noise_scale ** 2 if gaussian else None, parallel))
-        return perturb(value, spec, self.rng, **perturb_kwargs)
+            flagged, scale ** 2 if gaussian else None, parallel))
+        return perturb(value, kind, scale, self.rng)
 
     def counts(self, counts: np.ndarray) -> np.ndarray:
         """Noised counts floored at ``COUNT_FLOOR``, for use as divisors."""

@@ -14,9 +14,8 @@ import numpy as np
 
 from .data import BoundedDataset, _uniform_ball
 from .errors import DegenerateComponentError, SingularCovarianceError
-from .mechanisms import psd_project
+from .mechanisms import PSD_FLOOR, psd_project
 
-PSD_FLOOR = 1e-6
 SIMPLEX_TOL = 1e-9
 SYM_TOL = 1e-9
 

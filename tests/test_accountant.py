@@ -26,7 +26,7 @@ from dpem.accountant import (
     zcdp_to_dp,
 )
 from dpem.errors import UnattainableBudgetError
-from dpem.mechanisms import AccountingTrace, MechanismSpec, TraceRecord
+from dpem.mechanisms import AccountingTrace, TraceRecord, gaussian_sigma
 
 
 def ggg(j, k, method="zcdp", delta_i=1e-6):
@@ -393,7 +393,7 @@ def build_trace(n_lap, n_gauss, eps_i, delta_i):
         trace.append(TraceRecord("laplace", 0.5, 0.5 / eps_i, eps_i, None,
                                  "weights", i))
     for i in range(n_gauss):
-        sigma = MechanismSpec.gaussian(0.01, eps_i, delta_i).noise_scale
+        sigma = gaussian_sigma(0.01, eps_i, delta_i)
         trace.append(TraceRecord("gaussian", 0.01, sigma, eps_i, delta_i, "cov", i,
                                  beta=sigma ** 2))
     return trace

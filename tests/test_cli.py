@@ -209,6 +209,8 @@ CALIBRATE_ARGS = ["calibrate", "--eps", "1", "--delta", "1e-4", "--iters", "5",
     (["fit", "--model", "mog", "--eps-list", "1,0.5,1.0"], "--eps-list"),
     (["fit", "--model", "mog", "--method", "zcdp,zcdp"], "--method"),
     (["fit", "--model", "mog", "--method", ","], "--method"),
+    (["fit", "--model", "mog", "--seed", "-1"], "--seed"),
+    (["fit", "--model", "kmeans", "--synth-seed", "-1"], "--synth-seed"),
 ])
 def test_bad_numeric_flag_exits_2_before_writing(tmp_path, capsys, argv, flag):
     out_dir = tmp_path / "out"
@@ -321,6 +323,17 @@ def test_fit_env_seed_override(tmp_path, monkeypatch):
     assert code == 0
     assert rows_without_timing(tmp_path / "flagged" / "results.jsonl") == \
         rows_without_timing(tmp_path / "env" / "results.jsonl")
+
+
+@pytest.mark.parametrize("value", ["abc", "-3", "1.5"])
+def test_fit_bad_env_seed_exits_2_before_writing(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.setenv("DPEM_SEED", value)
+    assert run_cli(fit_args(tmp_path / "env")) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("DPEM_SEED ")
+    assert not (tmp_path / "env").exists()
 
 
 def test_fit_all_four_methods_in_one_summary(tmp_path):

@@ -5,19 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpem.accountant import PrivacyBudget
-from dpem.data import preprocess
+from dpem.accountant import SCENARIOS, PrivacyBudget
+from dpem.data import BoundedDataset, preprocess
 from dpem.dataio import synth_mog
-from dpem.dpem_mog import DpEmConfig, run_dpem_mog
+from dpem.dpem_mog import DpEmConfig, _PrivateRelease, run_dpem_mog
 from dpem.errors import DataError
+from dpem.fa import perturb_second_moment, second_moment
 from dpem.kmeans import dplloyd, dpem_kmeans
 from dpem.mechanisms import (
     COUNT_FLOOR,
+    PSD_FLOOR,
+    ROW_CHANGE,
     AccountingTrace,
-    MechanismSpec,
     Release,
     TraceRecord,
     analyze_gauss_perturb,
+    charge_delta,
+    charge_rho,
     gaussian_sigma,
     laplace_scale,
     perturb_mean,
@@ -74,31 +78,27 @@ def test_laplace_scale_formula():
 
 def test_perturb_simplex_zero_scale_is_identity():
     w = np.array([0.3, 0.2, 0.5])
-    spec = MechanismSpec("gaussian", 0.1, 0.0)
-    out = perturb_simplex(w, spec, np.random.default_rng(0))
+    out = perturb_simplex(w, "gaussian", 0.0, np.random.default_rng(0))
     np.testing.assert_allclose(out, w, atol=1e-15)
 
 
 def test_perturb_simplex_always_on_simplex():
     rng = np.random.default_rng(42)
-    spec = MechanismSpec("laplace", 0.2, 0.7)
     w = np.array([0.1, 0.2, 0.3, 0.4])
     for _ in range(10_000):
-        out = perturb_simplex(w, spec, rng)
+        out = perturb_simplex(w, "laplace", 0.7, rng)
         assert (out >= 0).all()
         assert abs(out.sum() - 1.0) < 1e-9
 
 
 def test_perturb_simplex_clamp_path():
-    out = perturb_simplex(np.array([1.0, 0.0]),
-                          MechanismSpec("laplace", 0.5, 1.0),
+    out = perturb_simplex(np.array([1.0, 0.0]), "laplace", 1.0,
                           ForcedRng([-2.0, 2.0]))
     np.testing.assert_allclose(out, [0.0, 1.0])
 
 
 def test_perturb_simplex_all_clipped_falls_back_to_uniform():
-    out = perturb_simplex(np.array([0.5, 0.5]),
-                          MechanismSpec("laplace", 0.5, 1.0),
+    out = perturb_simplex(np.array([0.5, 0.5]), "laplace", 1.0,
                           ForcedRng([-3.0, -3.0]))
     np.testing.assert_allclose(out, [0.5, 0.5])
 
@@ -108,18 +108,21 @@ def test_perturb_simplex_all_clipped_falls_back_to_uniform():
 
 def test_perturb_mean_zero_scale_identity():
     m = np.array([0.1, -0.2, 0.3])
-    out = perturb_mean(m, MechanismSpec("laplace", 0.1, 0.0),
-                       np.random.default_rng(0))
+    out = perturb_mean(m, "laplace", 0.0, np.random.default_rng(0))
     np.testing.assert_array_equal(out, m)
+
+
+def test_perturb_rejects_an_unknown_kind():
+    with pytest.raises(ValueError, match="unknown mechanism kind"):
+        perturb_mean(np.zeros(2), "cauchy", 1.0, np.random.default_rng(0))
 
 
 def test_perturb_mean_gaussian_std_matches_sigma():
     rng = np.random.default_rng(123)
-    spec = MechanismSpec("gaussian", 1.0, 0.37)
-    draws = np.array([perturb_mean(np.zeros(3), spec, rng)
+    draws = np.array([perturb_mean(np.zeros(3), "gaussian", 0.37, rng)
                       for _ in range(100_000)])
     stds = draws.std(axis=0)
-    np.testing.assert_allclose(stds, spec.noise_scale, rtol=0.02)
+    np.testing.assert_allclose(stds, 0.37, rtol=0.02)
 
 
 def test_laplace_sampler_mean_and_scale():
@@ -177,32 +180,28 @@ def test_psd_project_decomposes_once_when_it_clamps(monkeypatch):
 
 def test_analyze_gauss_zero_noise_identity_on_psd():
     cov = np.array([[0.5, 0.1], [0.1, 0.4]])
-    out = analyze_gauss_perturb(cov, MechanismSpec("gaussian", 0.1, 0.0),
-                                np.random.default_rng(0))
+    out = analyze_gauss_perturb(cov, "gaussian", 0.0, np.random.default_rng(0))
     np.testing.assert_array_equal(out, cov)
 
 
 def test_analyze_gauss_output_psd_and_symmetric():
     rng = np.random.default_rng(11)
-    spec = MechanismSpec("gaussian", 0.1, 0.25)
     cov = np.diag([0.3, 0.2, 0.1])
     for _ in range(1000):
-        out = analyze_gauss_perturb(cov, spec, rng, psd_floor=1e-6)
+        out = analyze_gauss_perturb(cov, "gaussian", 0.25, rng)
         assert np.array_equal(out, out.T)
-        assert np.linalg.eigvalsh(out).min() >= 1e-6 - 1e-9
+        assert np.linalg.eigvalsh(out).min() >= PSD_FLOOR - 1e-9
 
 
 def test_analyze_gauss_rejects_asymmetric_input():
     with pytest.raises(DataError):
-        analyze_gauss_perturb(np.array([[1.0, 0.2], [0.1, 1.0]]),
-                              MechanismSpec("gaussian", 0.1, 0.1),
-                              np.random.default_rng(0))
+        analyze_gauss_perturb(np.array([[1.0, 0.2], [0.1, 1.0]]), "gaussian",
+                              0.1, np.random.default_rng(0))
 
 
 def test_analyze_gauss_requires_gaussian_spec():
     with pytest.raises(ValueError):
-        analyze_gauss_perturb(np.eye(2), MechanismSpec("laplace", 0.1, 0.1),
-                              np.random.default_rng(0))
+        analyze_gauss_perturb(np.eye(2), "laplace", 0.1, np.random.default_rng(0))
 
 
 # --- sensitivity bounds ----------------------------------------------------------
@@ -211,14 +210,20 @@ def test_analyze_gauss_requires_gaussian_spec():
 @settings(max_examples=50, deadline=None)
 @given(st.integers(2, 50), st.integers(1, 3), st.integers(0, 10_000))
 def test_release_sensitivities_within_bounds(n, d, seed):
-    """Neighboring datasets (one row swapped) with shared responsibilities
-    never move the released statistics further than the advertised bounds."""
+    """Neighbouring datasets (one row replaced) with shared public
+    denominators never move a released statistic further than the
+    sensitivity the code gives it: L1 for Laplace, L2 for Gaussian."""
     rng = np.random.default_rng(seed)
 
     def ball_rows(m):
         raw = rng.normal(size=(m, d))
         norms = np.maximum(np.linalg.norm(raw, axis=1), 1.0)
         return raw / norms[:, None] * rng.uniform(0, 1, size=(m, 1)) ** (1 / d)
+
+    def within(kind, stat, stat_p, sensitivity):
+        moved = np.ravel(stat - stat_p)
+        norm = np.abs(moved).sum() if kind == "laplace" else np.linalg.norm(moved)
+        assert norm <= sensitivity + 1e-12
 
     X = ball_rows(n)
     Xp = X.copy()
@@ -228,23 +233,23 @@ def test_release_sensitivities_within_bounds(n, d, seed):
     gamma_p = gamma.copy()
     gamma_p[0] = rng.dirichlet(np.ones(K))
 
-    pi = gamma.sum(axis=0) / n
-    pi_p = gamma_p.sum(axis=0) / n
-    assert np.abs(pi - pi_p).sum() <= 2.0 / n + 1e-12
-
     nk = 5.0  # fixed public denominator, as the private pipeline uses
+    statistics = [("weights", n, None, gamma.sum(axis=0) / n, gamma_p.sum(axis=0) / n)]
     for k in range(K):
-        mu = gamma[:, k] @ X / nk
-        mu_p = gamma_p[:, k] @ Xp / nk
-        assert np.abs(mu - mu_p).sum() <= 2.0 * math.sqrt(d) / nk + 1e-12
-        assert np.linalg.norm(mu - mu_p) <= 2.0 / nk + 1e-12
-        scatter = (gamma[:, k, None] * X).T @ X / nk
-        scatter_p = (gamma_p[:, k, None] * Xp).T @ Xp / nk
-        assert np.linalg.norm(scatter - scatter_p, "fro") <= 2.0 / nk + 1e-12
+        statistics += [
+            ("mean", nk, d, gamma[:, k] @ X / nk, gamma_p[:, k] @ Xp / nk),
+            ("covariance", nk, None, (gamma[:, k, None] * X).T @ X / nk,
+             (gamma_p[:, k, None] * Xp).T @ Xp / nk)]
+    for scenario in SCENARIOS:
+        for label, count, dim, stat, stat_p in statistics:
+            kind, bound = _PrivateRelease.mechanism(scenario, label, count, dim)
+            within(kind, stat, stat_p, ROW_CHANGE["replace-one"] * bound)
 
-    lam = X.T @ X / n
-    lam_p = Xp.T @ Xp / n
-    assert np.linalg.norm(lam - lam_p, "fro") <= 2.0 / n + 1e-12
+    # FA's one release, at the sensitivity it records
+    (record,) = perturb_second_moment(second_moment(BoundedDataset(X)),
+                                      PrivacyBudget(0.5, 1e-4), rng)[1]
+    assert record.sensitivity == ROW_CHANGE["replace-one"] * (1.0 / n)
+    within(record.kind, X.T @ X / n, Xp.T @ Xp / n, record.sensitivity)
 
 
 # --- trace ------------------------------------------------------------------------
@@ -256,9 +261,10 @@ def test_trace_counts_and_rho():
     trace.append(TraceRecord("gaussian", 1.0, 2.0, 0.5, 1e-6, "cov", 0, beta=4.0))
     assert trace.n_laplace == 1
     assert trace.n_gaussian == 1
-    assert trace.gaussian_delta() == pytest.approx(1e-6)
+    assert trace.neighbours is None  # built by hand
+    assert charge_delta(trace.charges()) == pytest.approx(1e-6)
     # laplace: eps^2/2; gaussian: 1/(2*4)
-    assert trace.total_rho() == pytest.approx(0.5 * 0.25 + 0.125)
+    assert charge_rho(trace.charges()) == pytest.approx(0.5 * 0.25 + 0.125)
     assert trace[1].beta == pytest.approx(4.0)
 
 
@@ -273,8 +279,8 @@ def test_trace_parallel_group_charged_at_its_most_expensive_member():
                                  "centroid", 1, parallel=True))
     groups = trace.groups()
     assert [len(g) for g in groups] == [1, 3, 2]
-    assert trace.total_rho() == pytest.approx(0.5 * (0.25 ** 2 + 0.5 ** 2
-                                                     + 0.4 ** 2))
+    assert charge_rho(trace.charges()) == pytest.approx(
+        0.5 * (0.25 ** 2 + 0.5 ** 2 + 0.4 ** 2))
 
 
 def test_trace_charges_one_per_group_at_the_costliest_member():
@@ -306,36 +312,41 @@ def test_trace_record_zcdp_rho_pure_dp_unit():
 # --- release ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("kind,spec", [
-    ("laplace", MechanismSpec.laplace(0.5, 0.25)),
-    ("gaussian", MechanismSpec.gaussian(0.5, 0.25, 1e-6)),
+@pytest.mark.parametrize("kind,spec", [  # spec: (sensitivity, noise scale)
+    ("laplace", (0.5, laplace_scale(0.5, 0.25))),
+    ("gaussian", (0.5, gaussian_sigma(0.5, 0.25, 1e-6))),
 ])
 def test_release_records_its_mechanism(kind, spec):
-    release = Release(0.25, 1e-6, np.random.default_rng(0))
+    # a replaced row moves the statistic by twice its bound of 0.25
+    release = Release("replace-one", 0.25, 1e-6, np.random.default_rng(0))
     release.iteration = 3
-    out = release(np.zeros(4), kind, 0.5, "mean")
+    out = release(np.zeros(4), kind, 0.25, "mean")
     rec = release.trace[0]
-    assert (rec.kind, rec.sensitivity, rec.noise_scale) == (
-        spec.kind, spec.sensitivity, spec.noise_scale)
+    sensitivity, scale = spec
+    assert (rec.kind, rec.sensitivity, rec.noise_scale) == (kind, sensitivity, scale)
     assert (rec.eps_i, rec.label, rec.iteration) == (0.25, "mean", 3)
     assert rec.component is None and not rec.flagged and not rec.parallel
     if kind == "laplace":
         assert rec.delta_i is None and rec.beta is None
     else:
-        assert rec.delta_i == 1e-6 and rec.beta == spec.noise_scale ** 2
-    expected = perturb_mean(np.zeros(4), spec, np.random.default_rng(0))
+        assert rec.delta_i == 1e-6 and rec.beta == scale ** 2
+    assert release.trace.neighbours == "replace-one"
+    expected = perturb_mean(np.zeros(4), kind, scale, np.random.default_rng(0))
     np.testing.assert_array_equal(out, expected)
 
 
-def test_release_passes_perturb_and_its_arguments():
-    release = Release(0.5, 1e-6, np.random.default_rng(1))
-    out = release(np.eye(2), "gaussian", 1e-3, "covariance",
-                  perturb=analyze_gauss_perturb, psd_floor=0.5)
-    assert np.linalg.eigvalsh(out).min() >= 0.5 - 1e-12
+@pytest.mark.parametrize("neighbours", sorted(ROW_CHANGE))
+def test_release_sensitivity_is_the_row_change_times_the_bound(neighbours):
+    release = Release(neighbours, 0.5, 1e-6, np.random.default_rng(0))
+    assert release.scale("laplace", 0.3) == (
+        ROW_CHANGE[neighbours] * 0.3, laplace_scale(ROW_CHANGE[neighbours] * 0.3, 0.5))
+    release(np.zeros(2), "gaussian", 0.3, "x")
+    assert release.trace[0].sensitivity == ROW_CHANGE[neighbours] * 0.3
+    assert release.trace.neighbours == neighbours
 
 
 def test_release_flags_the_records_of_floored_counts():
-    release = Release(1.0, None, np.random.default_rng(0))
+    release = Release("add-remove", 1.0, None, np.random.default_rng(0))
     counts = release.counts(np.array([0.2, 5.0, -3.0]))
     np.testing.assert_array_equal(counts, [COUNT_FLOOR, 5.0, COUNT_FLOOR])
     for c in range(3):
@@ -349,7 +360,7 @@ def test_release_flags_the_records_of_floored_counts():
 
 @pytest.mark.parametrize("kind", ["laplace", "gaussian"])
 def test_release_at_infinite_eps_i_is_the_identity(kind):
-    release = Release(math.inf, 1e-6, np.random.default_rng(0))
+    release = Release("replace-one", math.inf, 1e-6, np.random.default_rng(0))
     value = np.array([0.3, -0.1])
     np.testing.assert_array_equal(release(value, kind, 2.0, "x"), value)
     assert release.trace[0].noise_scale == 0.0
@@ -370,3 +381,20 @@ def test_noise_free_limit_is_the_same_on_every_path():
     for trace in traces:
         assert len(trace) > 0
         assert all(r.noise_scale == 0.0 and r.eps_i == math.inf for r in trace)
+
+
+def test_each_private_path_names_its_neighbouring_relation():
+    data = preprocess(synth_mog(200, 2, 2, separation=4.0, seed=1)[0])
+    budget = PrivacyBudget(0.5, 1e-4)
+    replace_one = [run_dpem_mog(data, DpEmConfig(
+        components=2, iterations=2, total=budget, scenario=scenario, seed=0))[1]
+        for scenario in SCENARIOS]
+    replace_one.append(perturb_second_moment(second_moment(data), budget,
+                                             np.random.default_rng(0))[1])
+    add_remove = [dplloyd(data, 3, 2, 1.0, composition=composition, delta=1e-4,
+                          rng=np.random.default_rng(0))[1]
+                  for composition in ("linear", "zcdp")]
+    add_remove.append(dpem_kmeans(data, 3, 2, PrivacyBudget(1.0, 1e-4),
+                                  np.random.default_rng(0))[1])
+    assert [t.neighbours for t in replace_one] == ["replace-one"] * 3
+    assert [t.neighbours for t in add_remove] == ["add-remove"] * 3
