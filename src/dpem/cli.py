@@ -287,6 +287,9 @@ def _run_cell(task: dict):
             clustering, trace = dplloyd(train, task["k"], task["iters"], eps,
                                         composition=composition, delta=delta, rng=rng)
         metric = nicv(test, clustering.centers)
+    # a sweep cycles through its folds: keep no fold's pair products
+    # between cells, so a worker holds at most one fold's at a time
+    vars(train).pop("pairs", None)
 
     n_mech, audited = 0, (0.0, 0.0)
     if composition is not None:

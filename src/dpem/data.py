@@ -8,10 +8,12 @@ from that assumption.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DataError
+from .mechanisms import triu_indices
 
 # A row may exceed unit norm by at most this much (floating-point slack).
 NORM_SLACK = 1e-12
@@ -22,7 +24,8 @@ class BoundedDataset:
     """An N x d real matrix whose rows all have L2 norm <= 1.
 
     ``scale`` records the divisor applied by :func:`preprocess` so results
-    can optionally be mapped back to the original coordinates.
+    can optionally be mapped back to the original coordinates. The rows
+    must not change once ``pairs`` has been read.
     """
 
     rows: np.ndarray
@@ -53,6 +56,24 @@ class BoundedDataset:
     @property
     def d(self) -> int:
         return self.rows.shape[1]
+
+    @cached_property
+    def pairs(self) -> np.ndarray:
+        """Read-only (N, d(d+1)/2) products x_a x_b of every row, a <= b in
+        ``mechanisms.triu_indices`` order, so that ``gamma.T @ pairs`` packs
+        all K weighted scatters in one GEMM. Built on first use, one column
+        product per pair, stored column-major (the faster GEMM operand);
+        never pickled, so a process pool ships only the rows."""
+        a, b = triu_indices(self.d)
+        cols = self.rows.T.copy()
+        out = np.empty((len(a), self.n))
+        for j in range(len(a)):
+            np.multiply(cols[a[j]], cols[b[j]], out=out[j])
+        out.flags.writeable = False
+        return out.T
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "pairs"}
 
 
 def _uniform_ball(k: int, d: int, rng: np.random.Generator) -> np.ndarray:

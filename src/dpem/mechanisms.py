@@ -11,6 +11,7 @@ non-private counterparts in tests.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -221,6 +222,28 @@ def psd_project(mat: np.ndarray, floor: float) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
+@functools.lru_cache(maxsize=None)
+def triu_indices(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the upper triangle of a d x d matrix,
+    diagonal included, in ``np.triu_indices`` order: the one layout of every
+    packed symmetric statistic (noise draws, pair products, scatters).
+    Cached per d and read-only."""
+    rows, cols = np.triu_indices(d)
+    rows.flags.writeable = False
+    cols.flags.writeable = False
+    return rows, cols
+
+
+def unpack_triu(packed: np.ndarray, d: int) -> np.ndarray:
+    """Exactly symmetric (..., d, d) matrices from their packed upper
+    triangles (..., d(d+1)/2), each entry written to both of its places."""
+    rows, cols = triu_indices(d)
+    out = np.empty(packed.shape[:-1] + (d, d))
+    out[..., rows, cols] = packed
+    out[..., cols, rows] = packed
+    return out
+
+
 def analyze_gauss_perturb(cov: np.ndarray, kind: str, scale: float,
                           rng: np.random.Generator) -> np.ndarray:
     """Symmetric Gaussian perturbation of a covariance-like matrix.
@@ -237,10 +260,7 @@ def analyze_gauss_perturb(cov: np.ndarray, kind: str, scale: float,
     if np.abs(cov - cov.T).max() > 1e-9:
         raise DataError("input matrix is not symmetric")
     d = cov.shape[0]
-    iu = np.triu_indices(d)
-    noise = np.zeros((d, d))
-    noise[iu] = rng.normal(0.0, scale, size=iu[0].shape[0])
-    noise = noise + np.triu(noise, 1).T
+    noise = unpack_triu(rng.normal(0.0, scale, size=d * (d + 1) // 2), d)
     return psd_project(cov + noise, PSD_FLOOR)
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .data import BoundedDataset, _uniform_ball
 from .errors import DegenerateComponentError, SingularCovarianceError
-from .mechanisms import PSD_FLOOR, psd_project
+from .mechanisms import PSD_FLOOR, psd_project, unpack_triu
 
 SIMPLEX_TOL = 1e-9
 SYM_TOL = 1e-9
@@ -105,6 +105,7 @@ class MapPrior:
             raise ValueError("kappa0 and nu0 must be positive")
         if s0.ndim != 2 or s0.shape[0] != s0.shape[1]:
             raise ValueError("s0 must be a square matrix")
+        s0 = 0.5 * (s0 + s0.T)  # so every MAP covariance is exactly symmetric
         if np.linalg.eigvalsh(s0).min() <= 0:
             raise ValueError("s0 must be positive definite")
         object.__setattr__(self, "dirichlet_alpha", alpha)
@@ -207,10 +208,14 @@ def m_step(data: BoundedDataset, resp: Responsibilities,
     """The maximum-likelihood update, or the posterior mode under ``prior``.
 
     The counts that divide come from the weights, and each covariance is
-    built from its mean. A ``release`` step (private EM) gets each statistic
-    in draw order: ``weights(pi)``, ``counts(counts)``, then ``mean(k, mean,
-    denom)`` and ``covariance(k, cov, denom)`` for k = 1..K, with ``denom``
-    the count that divides; it projects the covariances itself.
+    built from its mean. The means come from one GEMM ``gamma.T @ X``; all
+    K scatters sum_i gamma_ik x_i x_i^T from one GEMM ``gamma.T @
+    data.pairs``, unpacked from the ``mechanisms.triu_indices`` layout into
+    exactly symmetric matrices. A ``release`` step (private EM) gets each
+    statistic in draw order: ``weights(pi)``, ``counts(counts)``, then
+    ``mean(k, mean, denom)`` for k = 1..K and ``covariance(k, cov, denom)``
+    for k = 1..K, with ``denom`` the count that divides; it projects the
+    covariances itself.
     """
     X = data.rows
     n, d = X.shape
@@ -230,22 +235,21 @@ def m_step(data: BoundedDataset, resp: Responsibilities,
     if release is not None:
         for k in range(K):
             means[k] = release.mean(k, means[k], denom[k])
-    covs = np.empty((K, d, d))
+    # scatters minus the weighted-sum outer products, rebuilt from the means
+    scatters = unpack_triu(resp.gamma.T @ data.pairs, d)
+    outer = means[:, :, None] * means[:, None, :]
+    if prior is None:
+        cov_denom = counts
+        num = scatters - counts[:, None, None] * outer
+    else:
+        cov_denom = counts + prior.nu0 + d + 2.0
+        num = prior.s0 + scatters - denom[:, None, None] * outer
+    covs = num / cov_denom[:, None, None]
     for k in range(K):
-        # scatter minus the weighted-sum outer product, rebuilt from the mean
-        scatter = (resp.gamma[:, k, None] * X).T @ X
-        if prior is None:
-            cov_denom = counts[k]
-            num = scatter - counts[k] * np.outer(means[k], means[k])
-        else:
-            cov_denom = counts[k] + prior.nu0 + d + 2.0
-            num = prior.s0 + scatter - denom[k] * np.outer(means[k], means[k])
-        cov = num / cov_denom
-        cov = 0.5 * (cov + cov.T)
         if release is None:
-            covs[k] = psd_project(cov, PSD_FLOOR)
+            covs[k] = psd_project(covs[k], PSD_FLOOR)
         else:
-            covs[k] = release.covariance(k, cov, cov_denom)
+            covs[k] = release.covariance(k, covs[k], cov_denom[k])
     return MoGParams(weights, means, covs)
 
 

@@ -281,7 +281,9 @@ def test_fit_tasks_carry_no_arrays(tmp_path, monkeypatch):
 
     def spy(task):
         tasks.append(task)
-        return run_cell(task)
+        result = run_cell(task)
+        assert not [train for train, _ in cli._SPLITS if "pairs" in vars(train)]
+        return result
 
     monkeypatch.setattr(cli, "_run_cell", spy)
     assert run_cli(fit_args(tmp_path / "spy", extra=["--folds", "2"])) == 0

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from dpem.data import BoundedDataset, preprocess
 from dpem.errors import DataError
+from dpem.mechanisms import triu_indices
 
 
 def test_preprocess_divides_by_max_norm():
@@ -53,3 +56,21 @@ def test_preprocess_idempotent_and_bounded(raw):
     twice = preprocess(once.rows)
     np.testing.assert_array_equal(once.rows, twice.rows)
     assert np.linalg.norm(once.rows, axis=1).max() <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_pairs_are_one_read_only_copy_of_the_upper_triangle(d):
+    rows = np.random.default_rng(d).uniform(-0.4, 0.4, size=(50, d))
+    data = BoundedDataset(rows)
+    pairs = data.pairs
+    assert data.pairs is pairs
+    a, b = triu_indices(d)
+    np.testing.assert_array_equal(pairs, rows[:, a] * rows[:, b])
+    assert pairs.nbytes == 8 * data.n * d * (d + 1) // 2
+    assert pairs.base.nbytes == pairs.nbytes  # no second copy behind the view
+    for array in (pairs, pairs.base, a, b):
+        with pytest.raises(ValueError):
+            array[0] = 0
+    # never pickled: a process pool is sent the rows alone
+    assert len(pickle.dumps(data)) == len(pickle.dumps(BoundedDataset(rows)))
+    assert "pairs" not in vars(pickle.loads(pickle.dumps(data)))

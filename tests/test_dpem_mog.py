@@ -34,6 +34,28 @@ def test_noise_free_mode_reproduces_plain_em(estimator):
                                atol=1e-8)
 
 
+@pytest.mark.parametrize("estimator", ["mle", "map"])
+def test_cached_pairs_give_the_cold_run(estimator):
+    # a second run on one dataset reads its cached pair products; a fresh
+    # equal dataset builds them again: all three runs are bit-identical
+    def three_runs(fit):
+        data = planted(k=3)
+        runs = [fit(d) for d in (data, data, BoundedDataset(data.rows.copy()))]
+        assert "pairs" in vars(data)
+        for params, trace in runs[1:]:
+            for got, want in zip(vars(params).values(), vars(runs[0][0]).values()):
+                np.testing.assert_array_equal(got, want)
+            assert trace == runs[0][1]
+
+    def private(data):
+        params, trace = run_dpem_mog(data, cfg_for(data, components=3, estimator=estimator,
+                                                   scenario="llg"))
+        return params, trace.records
+
+    three_runs(private)
+    three_runs(lambda data: (fit_em(data, 3, 4, estimator=estimator, seed=1), None))
+
+
 def test_trace_length_ggg():
     data = planted(n=600, k=3)
     cfg = cfg_for(data, components=3, iterations=10)

@@ -6,7 +6,9 @@ from scipy.stats import norm
 
 from dpem.data import BoundedDataset, _uniform_ball, preprocess
 from dpem.dataio import synth_mog
+from dpem.dpem_mog import _PrivateRelease
 from dpem.errors import DegenerateComponentError, SingularCovarianceError
+from dpem.mechanisms import psd_project, unpack_triu
 from dpem.mog import (
     PSD_FLOOR,
     MapPrior,
@@ -16,6 +18,7 @@ from dpem.mog import (
     fit_em,
     init_params,
     log_likelihood,
+    m_step,
     m_step_map,
     m_step_mle,
 )
@@ -235,6 +238,79 @@ def test_m_step_mle_one_hot_equals_per_cluster_moments():
         np.testing.assert_allclose(params.means[k], sel.mean(axis=0), atol=1e-12)
         np.testing.assert_allclose(params.covariances[k],
                                    np.cov(sel.T, bias=True), atol=1e-12)
+
+
+# --- m_step: pair-product scatters --------------------------------------------
+
+
+def per_component_m_step(data, resp, prior=None, release=None):
+    """Reference M-step: each scatter from its own weighted copy of X,
+    ``(gamma[:, k, None] * X).T @ X``, in the statistics' draw order."""
+    X, gamma = data.rows, resp.gamma
+    n, d = X.shape
+    K = gamma.shape[1]
+    pi = resp.counts / n
+    pi = pi / pi.sum()
+    if release is not None:
+        pi = release.weights(pi)
+    weights = pi
+    if prior is not None:
+        alpha = prior.dirichlet_alpha
+        weights = (n * pi + alpha - 1.0) / (n + alpha.sum() - K)
+        weights = weights / weights.sum()
+    counts = n * pi if release is None else release.counts(n * pi)
+    denom = counts if prior is None else counts + prior.kappa0
+    means = (gamma.T @ X) / denom[:, None]
+    if release is not None:
+        means = np.array([release.mean(k, means[k], denom[k]) for k in range(K)])
+    covs = []
+    for k in range(K):
+        scatter = (gamma[:, k, None] * X).T @ X
+        if prior is None:
+            cov_denom, num = counts[k], scatter - counts[k] * np.outer(means[k], means[k])
+        else:
+            cov_denom = counts[k] + prior.nu0 + d + 2.0
+            num = prior.s0 + scatter - denom[k] * np.outer(means[k], means[k])
+        cov = num / cov_denom
+        cov = 0.5 * (cov + cov.T)
+        covs.append(psd_project(cov, PSD_FLOOR) if release is None
+                    else release.covariance(k, cov, cov_denom))
+    return weights, means, np.array(covs)
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+@pytest.mark.parametrize("K", [1, 3])
+@pytest.mark.parametrize("estimator", ["mle", "map"])
+@pytest.mark.parametrize("private", [False, True])
+def test_m_step_pair_products_match_per_component_scatters(d, K, estimator, private):
+    rng = np.random.default_rng(100 * d + K)
+    X = 0.4 * _uniform_ball(600, d, rng) + 0.5 * _uniform_ball(1, d, rng)
+    data = BoundedDataset(X)
+    resp = Responsibilities(rng.dirichlet(np.ones(K), size=data.n))
+    prior = MapPrior.default(K, d) if estimator == "map" else None
+
+    scatters = unpack_triu(resp.gamma.T @ data.pairs, d)
+    assert np.array_equal(scatters, scatters.transpose(0, 2, 1))
+    want = np.array([(resp.gamma[:, k, None] * X).T @ X for k in range(K)])
+    np.testing.assert_allclose(scatters, want, rtol=1e-13, atol=0)
+
+    def release():  # eps_i = inf: every noise scale 0, counts still floored
+        return _PrivateRelease("ggg", np.inf, 1e-6, np.random.default_rng(0), data.n, d) \
+            if private else None
+
+    got_release, want_release = release(), release()
+    got = m_step(data, resp, prior, got_release)
+    weights, means, covs = per_component_m_step(data, resp, prior, want_release)
+    # the weights and means do not read the scatters
+    np.testing.assert_array_equal(got.weights, weights)
+    np.testing.assert_array_equal(got.means, means)
+    # scatter minus c m m^T cancels in a near-zero entry, which keeps the
+    # scatter's rounding: the bound there is 1e-13 of the largest entry
+    np.testing.assert_allclose(got.covariances, covs, rtol=1e-13,
+                               atol=1e-13 * np.abs(covs).max())
+    assert np.array_equal(got.covariances, got.covariances.transpose(0, 2, 1))
+    if private:
+        assert got_release.trace.records == want_release.trace.records
 
 
 # --- m_step_map ---------------------------------------------------------------
