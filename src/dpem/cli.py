@@ -64,6 +64,7 @@ IN_UNIT = (lambda v: 0 < v < 1, "in (0, 1)")
 FLAG_RULES = {"eps": (lambda v: 0 < v < math.inf, "finite and positive"),
               "delta": IN_UNIT, "delta_i": IN_UNIT,
               **dict.fromkeys(("seed", "synth_seed"), (lambda v: v >= 0, "at least 0")),
+              "synth_separation": (lambda v: 0 <= v < math.inf, "finite and at least 0"),
               **dict.fromkeys(("iters", "k", "components", "max_order", "jobs", "seeds",
                                "folds", "n", "synth_n", "synth_d", "synth_k"), AT_LEAST_1)}
 AUDIT_SLACK = 1e-9
@@ -72,9 +73,10 @@ AUDIT_SLACK = 1e-9
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
-# The (train, test) pairs of the running sweep, indexed by fold: set once per
-# worker by ``_init_worker`` so that task dicts carry no arrays.
-_SPLITS: list[tuple[BoundedDataset, BoundedDataset]] = []
+# The running sweep as (parsed flags, (train, test) pairs indexed by fold,
+# ordered (method, eps, fold, seed) cells): set once per worker by
+# ``_init_worker``, so that a task is only its cell index.
+_SWEEP: tuple | None = None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -212,15 +214,15 @@ def _load_matrix(args) -> np.ndarray:
     raise DataError("provide --data or --synth-n")
 
 
-def _init_worker(splits: list[tuple[BoundedDataset, BoundedDataset]]) -> None:
-    """Hold the sweep's splits for the ``_run_cell`` calls of this process."""
-    global _SPLITS
-    _SPLITS = splits
+def _init_worker(sweep: tuple | None) -> None:
+    """Hold the sweep for the ``_run_cell`` calls of this process."""
+    global _SWEEP
+    _SWEEP = sweep
 
 
 @contextlib.contextmanager
-def _worker_pool(workers: int, splits: list[tuple[BoundedDataset, BoundedDataset]]):
-    """A pool of ``workers`` spawned processes, each given ``splits`` once.
+def _worker_pool(workers: int, sweep: tuple):
+    """A pool of ``workers`` spawned processes, each given ``sweep`` once.
 
     While the pool lives, every variable of ``THREAD_VARS`` that the caller
     left unset is set to ``"1"``; workers inherit it, and values the caller
@@ -234,39 +236,36 @@ def _worker_pool(workers: int, splits: list[tuple[BoundedDataset, BoundedDataset
         with ProcessPoolExecutor(max_workers=workers,
                                  mp_context=multiprocessing.get_context("spawn"),
                                  initializer=_init_worker,
-                                 initargs=(splits,)) as pool:
+                                 initargs=(sweep,)) as pool:
             yield pool
     finally:
         for var in added:
             os.environ.pop(var, None)
 
 
-def _run_cell(task: dict):
-    """One (method, epsilon, fold, seed) cell; must stay picklable. Reads its
-    split from the ones ``_init_worker`` stored in this process."""
+def _run_cell(index: int):
+    """Cell ``index`` of the sweep ``_init_worker`` stored in this process:
+    its (method, epsilon, fold, seed), split, settings and RNG seed."""
     t0 = time.perf_counter()
-    model = task["model"]
-    train, test = _SPLITS[task["fold"]]
-    rng_seed = np.random.SeedSequence((task["master_seed"], task["cell_index"]))
-    seed_ints = rng_seed.generate_state(1)
-    cell_seed = int(seed_ints[0])
-    eps = task["eps"]
-    delta = task["delta"]
-    method = task["method"]
+    args, splits, cells = _SWEEP
+    method, eps, fold, seed = cells[index]
+    train, test = splits[fold]
+    model, delta = args.model, args.delta
+    cell_seed = int(np.random.SeedSequence((args.seed, index)).generate_state(1)[0])
     # the composition a private cell is calibrated and audited under
     composition = FIT_METHODS[model].get(method)
 
     if model == "mog":
         if composition is None:
-            params = fit_em(train, task["k"], task["iters"],
-                            estimator=task["estimator"], seed=cell_seed)
+            params = fit_em(train, args.k, args.iters,
+                            estimator=args.estimator, seed=cell_seed)
         else:
             cfg = DpEmConfig(
-                components=task["k"], iterations=task["iters"],
-                total=PrivacyBudget(eps, delta), delta_i=task["delta_i"],
-                scenario=task["scenario"], method=composition,
-                estimator=task["estimator"], seed=cell_seed,
-                max_order=task["max_order"])
+                components=args.k, iterations=args.iters,
+                total=PrivacyBudget(eps, delta), delta_i=args.delta_i,
+                scenario=args.scenario, method=composition,
+                estimator=args.estimator, seed=cell_seed,
+                max_order=args.max_order)
             params, trace = run_dpem_mog(train, cfg)
         metric = log_likelihood(test, params) / test.n
     elif model == "fa":
@@ -274,17 +273,17 @@ def _run_cell(task: dict):
         if composition is not None:
             mom, trace = perturb_second_moment(
                 mom, PrivacyBudget(eps, delta), np.random.default_rng(cell_seed))
-        params = run_fa_em(mom, task["q"])
+        params = run_fa_em(mom, args.q)
         metric = fa_average_log_likelihood(second_moment(test), params)
     else:  # kmeans
         rng = np.random.default_rng(cell_seed)
         if composition is None:
-            clustering = lloyd(train, task["k"], task["iters"], rng)
+            clustering = lloyd(train, args.k, args.iters, rng)
         elif method == "dpem":
-            clustering, trace = dpem_kmeans(train, task["k"], task["iters"],
+            clustering, trace = dpem_kmeans(train, args.k, args.iters,
                                             PrivacyBudget(eps, delta), rng)
         else:
-            clustering, trace = dplloyd(train, task["k"], task["iters"], eps,
+            clustering, trace = dplloyd(train, args.k, args.iters, eps,
                                         composition=composition, delta=delta, rng=rng)
         metric = nicv(test, clustering.centers)
     # a sweep cycles through its folds: keep no fold's pair products
@@ -295,7 +294,7 @@ def _run_cell(task: dict):
     if composition is not None:
         n_mech = len(trace)
         spend = compose_trace(trace, composition, delta,
-                              max_order=task["max_order"])
+                              max_order=args.max_order)
         audited = (spend.epsilon, spend.delta)
         if audited[0] > eps + AUDIT_SLACK or audited[1] > delta + AUDIT_SLACK:
             raise DpemError(
@@ -303,8 +302,8 @@ def _run_cell(task: dict):
                 f"({eps}, {delta})")
 
     return dataio.ExperimentResult(
-        model=model, method=method, scenario=task["scenario"],
-        epsilon=eps, delta=delta, fold=task["fold"], seed=task["seed"],
+        model=model, method=method, scenario=args.scenario,
+        epsilon=eps, delta=delta, fold=fold, seed=seed,
         metric=float(metric), n_mechanisms=n_mech,
         metric_name="nicv" if model == "kmeans" else "test_loglik_per_point",
         audited_epsilon=audited[0], audited_delta=audited[1],
@@ -356,33 +355,25 @@ def cmd_fit(args) -> int:
               file=sys.stderr)
         return EXIT_BUDGET
 
-    master_seed = args.seed
     # --folds 1 is the first of ten folds: a single 90/10 split
     splits = dataio.cv_split(bounded.rows, args.folds if args.folds > 1 else 10,
-                             seed=master_seed)[:args.folds]
+                             seed=args.seed)[:args.folds]
     splits = [(BoundedDataset(train), BoundedDataset(test)) for train, test in splits]
     cells = [(method, eps, fold, seed) for method in [*methods, "baseline"]
              for eps in (eps_list if method != "baseline" else [math.inf])
              for fold in range(len(splits)) for seed in range(args.seeds)]
-    tasks = [{"model": args.model, "method": method, "eps": eps,
-              "delta": args.delta, "delta_i": args.delta_i,
-              "scenario": args.scenario, "estimator": args.estimator,
-              "k": args.k, "q": args.q, "iters": args.iters,
-              "fold": fold, "seed": seed,
-              "master_seed": master_seed, "cell_index": cell_index,
-              "max_order": args.max_order}
-             for cell_index, (method, eps, fold, seed) in enumerate(cells)]
+    sweep = (args, splits, cells)
 
-    workers = min(args.jobs, len(tasks))
+    workers = min(args.jobs, len(cells))
     if workers > 1:
-        with _worker_pool(workers, splits) as pool:
-            results = list(pool.map(_run_cell, tasks, chunksize=1))
+        with _worker_pool(workers, sweep) as pool:
+            results = list(pool.map(_run_cell, range(len(cells)), chunksize=1))
     else:
-        _init_worker(splits)
+        _init_worker(sweep)
         try:
-            results = [_run_cell(task) for task in tasks]
+            results = [_run_cell(index) for index in range(len(cells))]
         finally:
-            _init_worker([])
+            _init_worker(None)
     results.sort(key=lambda r: (r.method, r.epsilon, r.fold, r.seed))
 
     out = Path(args.out)

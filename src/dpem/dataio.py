@@ -75,10 +75,6 @@ def synth_mog(n: int, d: int, k: int, separation: float,
     if k > 1:
         dists = np.linalg.norm(means[:, None, :] - means[None, :, :], axis=2)
         min_dist = dists[~np.eye(k, dtype=bool)].min()
-        if min_dist <= 0:
-            means = means + rng.normal(size=(k, d)) * 1e-3
-            dists = np.linalg.norm(means[:, None, :] - means[None, :, :], axis=2)
-            min_dist = dists[~np.eye(k, dtype=bool)].min()
         means *= separation / min_dist
     weights = rng.dirichlet(np.full(k, 10.0))
     labels = rng.choice(k, size=n, p=weights)

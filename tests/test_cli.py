@@ -211,6 +211,9 @@ CALIBRATE_ARGS = ["calibrate", "--eps", "1", "--delta", "1e-4", "--iters", "5",
     (["fit", "--model", "mog", "--method", ","], "--method"),
     (["fit", "--model", "mog", "--seed", "-1"], "--seed"),
     (["fit", "--model", "kmeans", "--synth-seed", "-1"], "--synth-seed"),
+    (["fit", "--model", "mog", "--synth-separation", "inf"], "--synth-separation"),
+    (["fit", "--model", "mog", "--synth-separation", "nan"], "--synth-separation"),
+    (["fit", "--model", "mog", "--synth-separation", "-1"], "--synth-separation"),
 ])
 def test_bad_numeric_flag_exits_2_before_writing(tmp_path, capsys, argv, flag):
     out_dir = tmp_path / "out"
@@ -282,15 +285,17 @@ def test_fit_tasks_carry_no_arrays(tmp_path, monkeypatch):
     def spy(task):
         tasks.append(task)
         result = run_cell(task)
-        assert not [train for train, _ in cli._SPLITS if "pairs" in vars(train)]
+        _, splits, _ = cli._SWEEP
+        assert not [train for train, _ in splits if "pairs" in vars(train)]
         return result
 
     monkeypatch.setattr(cli, "_run_cell", spy)
     assert run_cli(fit_args(tmp_path / "spy", extra=["--folds", "2"])) == 0
+    # each task is its cell index: an int, never an array
     assert len(tasks) == 12
-    assert not [key for task in tasks for key, value in task.items()
-                if isinstance(value, np.ndarray)]
-    assert cli._SPLITS == []
+    assert all(type(task) is int for task in tasks)
+    assert sorted(tasks) == list(range(12))
+    assert cli._SWEEP is None
 
 
 def test_worker_pool_pins_unset_thread_variables(monkeypatch):

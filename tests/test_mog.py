@@ -14,6 +14,7 @@ from dpem.mog import (
     MapPrior,
     MoGParams,
     Responsibilities,
+    _reassign_degenerate,
     e_step,
     fit_em,
     init_params,
@@ -429,6 +430,33 @@ def test_fit_em_runs_fixed_iterations_map():
     params = fit_em(data, 2, 10, estimator="map", seed=1)
     assert params.weights.shape == (2,)
     assert abs(params.weights.sum() - 1.0) < 1e-9
+
+
+def test_reassign_degenerate_gives_each_dead_component_one_donor():
+    # components 2 and 3 hold no mass: each takes one distinct row wholly
+    gamma = np.tile([0.5, 0.5, 0.0, 0.0], (6, 1))
+    resp = Responsibilities(gamma)
+    out = _reassign_degenerate(resp, 6, np.random.default_rng(0))
+    changed = np.flatnonzero((out.gamma != gamma).any(axis=1))
+    assert len(changed) == 2
+    assert sorted(out.gamma[changed].argmax(axis=1)) == [2, 3]
+    np.testing.assert_array_equal(out.gamma[changed].max(axis=1), 1.0)
+    np.testing.assert_array_equal(out.gamma[changed].sum(axis=1), 1.0)
+    unchanged = np.setdiff1d(np.arange(6), changed)
+    np.testing.assert_array_equal(out.gamma[unchanged], gamma[unchanged])
+    np.testing.assert_array_equal(resp.gamma, gamma)  # the input is not written
+
+
+def test_reassign_degenerate_uses_at_most_n_donors():
+    # four dead components but two rows: both rows go to the first two
+    gamma = np.tile([1.0, 0.0, 0.0, 0.0, 0.0], (2, 1))
+    out = _reassign_degenerate(Responsibilities(gamma), 2, np.random.default_rng(0))
+    np.testing.assert_array_equal(out.counts, [0.0, 1.0, 1.0, 0.0, 0.0])
+
+
+def test_reassign_degenerate_without_dead_component_returns_its_input():
+    resp = Responsibilities(np.tile([0.25, 0.75], (4, 1)))
+    assert _reassign_degenerate(resp, 4, np.random.default_rng(0)) is resp
 
 
 def test_params_invariant_validation():
