@@ -53,7 +53,7 @@ class PrivacyBudget:
     delta: float
 
     def __post_init__(self):
-        if self.epsilon < 0:
+        if not self.epsilon >= 0:  # NaN fails; inf is an unbounded spend
             raise ValueError("epsilon must be nonnegative")
         if not 0.0 <= self.delta < 1.0:
             raise ValueError("delta must lie in [0, 1)")

@@ -19,6 +19,9 @@ class DegenerateComponentError(DpemError):
             f"component {component} is degenerate (soft count {count:.3e})"
         )
 
+    def __reduce__(self):  # pickle the constructor arguments, not the message
+        return type(self), (self.component, self.count)
+
 
 class SingularCovarianceError(DpemError):
     """A component covariance is not positive definite."""
@@ -26,6 +29,9 @@ class SingularCovarianceError(DpemError):
     def __init__(self, component: int):
         self.component = component
         super().__init__(f"covariance of component {component} is singular")
+
+    def __reduce__(self):
+        return type(self), (self.component,)
 
 
 class UnattainableBudgetError(DpemError):

@@ -3,7 +3,9 @@
 The expected sufficient statistics of the FA model depend on the data only
 through the second-moment matrix, so privacy costs a single symmetric
 Gaussian perturbation of that matrix; the EM iterations afterwards are
-pure post-processing and can run to convergence for free.
+pure post-processing and can run to convergence for free. The fitted state
+is the loading W and the noise psi alone (``FAParams``); the posterior
+covariance G = (I + W^T Psi^-1 W)^-1 is derived from them on demand.
 """
 from __future__ import annotations
 
@@ -30,9 +32,9 @@ class SecondMoment:
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DataError(f"expected a square matrix, got shape {m.shape}")
-        if np.abs(m - m.T).max() > 1e-9:
-            raise DataError("second moment must be symmetric")
-        if self.n < 1:
+        if not np.isfinite(m).all() or np.abs(m - m.T).max() > 1e-9:
+            raise DataError("second moment must be finite and symmetric")
+        if not self.n >= 1:
             raise DataError("source count must be >= 1")
         object.__setattr__(self, "matrix", m)
 
@@ -43,31 +45,27 @@ class SecondMoment:
 
 @dataclass(frozen=True)
 class FAParams:
-    """Loading matrix W (d x q), diagonal noise psi, and the posterior
-    covariance G = (I + W^T Psi^-1 W)^-1 implied by them."""
+    """Loading matrix W (d x q) and diagonal noise psi (length d)."""
 
     loading: np.ndarray
     psi: np.ndarray
-    posterior_cov: np.ndarray
 
     def __post_init__(self):
         w = np.asarray(self.loading, dtype=float)
         psi = np.asarray(self.psi, dtype=float)
-        g = np.asarray(self.posterior_cov, dtype=float)
         if w.ndim != 2 or psi.ndim != 1 or w.shape[0] != psi.shape[0]:
             raise ValueError("loading must be d x q and psi length d")
-        q = w.shape[1]
-        if g.shape != (q, q):
-            raise ValueError("posterior_cov must be q x q")
+        if not (np.isfinite(w).all() and np.isfinite(psi).all()):
+            raise ValueError("loading and psi must be finite")
         if (psi < PSI_FLOOR - 1e-12).any():
             raise ValueError("psi entries below floor")
-        if q > 0:
-            expected = np.linalg.inv(np.eye(q) + (w.T / psi) @ w)
-            if np.abs(expected - g).max() > 1e-8:
-                raise ValueError("posterior_cov inconsistent with loading/psi")
         object.__setattr__(self, "loading", w)
         object.__setattr__(self, "psi", psi)
-        object.__setattr__(self, "posterior_cov", g)
+
+    @property
+    def posterior_cov(self) -> np.ndarray:
+        """G = (I + W^T Psi^-1 W)^-1, the latent posterior covariance."""
+        return _posterior_cov(self.loading, self.psi)
 
     @property
     def d(self) -> int:
@@ -111,23 +109,18 @@ def perturb_second_moment(mom: SecondMoment, total: PrivacyBudget,
     return SecondMoment(noised, mom.n), release.trace
 
 
-def _init_params(mom: SecondMoment, q: int) -> FAParams:
+def _init_params(mom: SecondMoment, q: int) -> tuple[np.ndarray, np.ndarray]:
     """Scaled principal components of the moment matrix seed the loading."""
-    d = mom.d
     vals, vecs = np.linalg.eigh(mom.matrix)
     order = np.argsort(vals)[::-1][:q]
     top_vals = np.maximum(vals[order], 0.0)
     w = vecs[:, order] * np.sqrt(top_vals)
     psi = np.maximum(np.diag(mom.matrix) - (w ** 2).sum(axis=1), PSI_FLOOR)
-    g = _posterior_cov(w, psi)
-    return FAParams(w, psi, g)
+    return w, psi
 
 
 def _posterior_cov(w: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    q = w.shape[1]
-    if q == 0:
-        return np.zeros((0, 0))
-    g = np.linalg.inv(np.eye(q) + (w.T / psi) @ w)
+    g = np.linalg.inv(np.eye(w.shape[1]) + (w.T / psi) @ w)
     return 0.5 * (g + g.T)
 
 
@@ -145,11 +138,7 @@ def run_fa_em(mom: SecondMoment, q: int, iters: int = 1000,
     if np.linalg.eigvalsh(mom.matrix).min() < -1e-10:
         raise DataError("second moment must be PSD; project it first")
     lam = mom.matrix
-    if q == 0:
-        psi = np.maximum(np.diag(lam), PSI_FLOOR)
-        return FAParams(np.zeros((mom.d, 0)), psi, np.zeros((0, 0)))
-    params = _init_params(mom, q)
-    w, psi = params.loading, params.psi
+    w, psi = _init_params(mom, q)
     for _ in range(iters):
         g = _posterior_cov(w, psi)
         b = w / psi[:, None]              # Psi^-1 W          (d x q)
@@ -158,11 +147,12 @@ def run_fa_em(mom: SecondMoment, q: int, iters: int = 1000,
         w_new = np.linalg.solve(second.T, first.T).T
         psi_new = np.diag(lam - w_new @ g @ (b.T @ lam))
         psi_new = np.maximum(psi_new, PSI_FLOOR)
-        delta = max(np.abs(w_new - w).max(), np.abs(psi_new - psi).max())
+        delta = max(np.abs(w_new - w).max(initial=0.0),
+                    np.abs(psi_new - psi).max())
         w, psi = w_new, psi_new
         if delta < tol:
             break
-    return FAParams(w, psi, _posterior_cov(w, psi))
+    return FAParams(w, psi)
 
 
 def fa_average_log_likelihood(mom: SecondMoment, params: FAParams) -> float:

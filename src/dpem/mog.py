@@ -42,6 +42,8 @@ class MoGParams:
         k = w.shape[0]
         if mu.shape[0] != k or cov.shape[0] != k or cov.shape[1:] != (mu.shape[1],) * 2:
             raise ValueError("inconsistent shapes across weights/means/covariances")
+        if not (np.isfinite(w).all() and np.isfinite(mu).all() and np.isfinite(cov).all()):
+            raise ValueError("weights, means and covariances must be finite")
         if (w < -SIMPLEX_TOL).any() or abs(w.sum() - 1.0) > SIMPLEX_TOL:
             raise ValueError(f"weights are not on the simplex (sum={w.sum()!r})")
         for j in range(k):
@@ -77,9 +79,10 @@ class Responsibilities:
         g = np.asarray(self.gamma, dtype=float)
         if g.ndim != 2:
             raise ValueError("gamma must be an N x K matrix")
-        if (g < -1e-12).any() or (g > 1 + 1e-12).any():
+        # phrased so that NaN fails each test: gamma gets no separate pass
+        if not ((g >= -1e-12).all() and (g <= 1 + 1e-12).all()):
             raise ValueError("responsibilities outside [0, 1]")
-        if np.abs(g @ np.ones(g.shape[1]) - 1.0).max() > SIMPLEX_TOL:
+        if not np.abs(g @ np.ones(g.shape[1]) - 1.0).max() <= SIMPLEX_TOL:
             raise ValueError("responsibility rows must sum to 1")
         object.__setattr__(self, "gamma", g)
 

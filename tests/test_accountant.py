@@ -230,6 +230,25 @@ def test_zcdp_rho_additive():
     assert zcdp_rho(plan2, 0.3) == pytest.approx(2 * zcdp_rho(plan1, 0.3))
 
 
+def test_zcdp_rho_llg_itemizes_the_covariance_releases():
+    # llg: J(K+1) Laplace releases at eps_i^2/2 each, JK Gaussian covariance
+    # releases at s^2/(2 sigma^2) each; no other class is read
+    j, k, eps_i, s, sigma = 3, 2, 0.4, 0.05, 0.7
+    expected = j * (k + 1) * eps_i ** 2 / 2 + j * k * s ** 2 / (2 * sigma ** 2)
+    assert zcdp_rho(llg(j, k), eps_i, {"covariances": (s, sigma)}) == \
+        pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("eps, delta", [(math.nan, 1e-4), (1.0, math.nan)])
+def test_privacy_budget_rejects_nan(eps, delta):
+    with pytest.raises(ValueError):
+        PrivacyBudget(eps, delta)
+
+
+def test_privacy_budget_allows_an_unbounded_spend():
+    assert PrivacyBudget(math.inf, 1e-4).epsilon == math.inf
+
+
 def test_zcdp_to_dp_limits_and_values():
     assert zcdp_to_dp(0.0, 1e-4) == 0.0
     assert zcdp_to_dp(1.0, math.exp(-1.0)) == pytest.approx(3.0)

@@ -439,6 +439,19 @@ def test_fit_unattainable_budget_exits_3(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_fit_cell_unattainable_budget_exits_3(tmp_path, capsys, jobs):
+    # two moment orders cannot reach eps 0.1: the first cell's calibration
+    # raises, in the caller or in a pool worker, and main maps it to exit 3
+    out_dir = tmp_path / "out"
+    assert run_cli(["fit", "--model", "mog", "--synth-n", "300", "--iters", "2",
+                    "--eps-list", "0.1", "--method", "ma", "--max-order", "2",
+                    "--jobs", jobs, "--out", str(out_dir)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("unattainable budget:")
+    assert not out_dir.exists()
+
+
 def test_fit_fa_default_eps_list_exits_3_before_any_cell(tmp_path, capsys, monkeypatch):
     # the default list (0.1,0.5,1,2,4) reaches eps 1, which FA's one-shot
     # release cannot attain: no cell may run before the sweep is refused

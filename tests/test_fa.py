@@ -5,6 +5,7 @@ from dpem.accountant import PrivacyBudget
 from dpem.data import BoundedDataset, preprocess
 from dpem.errors import DataError, UnattainableBudgetError
 from dpem.fa import (
+    PSI_FLOOR,
     FAParams,
     SecondMoment,
     fa_average_log_likelihood,
@@ -105,7 +106,38 @@ def test_model_covariance_psd_at_every_iterate():
 
 def test_fa_params_validation():
     with pytest.raises(ValueError):
-        FAParams(np.full((4, 2), 0.3), np.full(4, 0.1), np.eye(2))  # wrong G
+        FAParams(np.full((4, 2), 0.3), np.full(3, 0.1))  # d mismatch
+    with pytest.raises(ValueError):
+        FAParams(np.full((4, 2), 0.3), np.full(4, PSI_FLOOR / 2))
+    mom, _, _ = planted_moment()
+    params = run_fa_em(mom, 2)
+    w, psi = params.loading, params.psi
+    g = np.linalg.inv(np.eye(2) + (w.T / psi) @ w)
+    np.testing.assert_array_equal(params.posterior_cov, 0.5 * (g + g.T))
+    zero = run_fa_em(mom, 0)
+    assert zero.loading.shape == (6, 0)
+    assert zero.posterior_cov.shape == (0, 0)
+    np.testing.assert_array_equal(zero.psi, np.maximum(np.diag(mom.matrix), PSI_FLOOR))
+
+
+@pytest.mark.parametrize("loading, psi", [
+    (np.full((3, 1), np.nan), np.full(3, 0.1)),
+    (np.full((3, 1), 0.3), np.full(3, np.nan)),
+    (np.full((3, 1), 0.3), np.full(3, np.inf)),
+])
+def test_fa_params_reject_non_finite(loading, psi):
+    with pytest.raises(ValueError):
+        FAParams(loading, psi)
+
+
+@pytest.mark.parametrize("matrix, n", [
+    (np.full((2, 2), np.nan), 10),
+    (np.diag([np.inf, 1.0]), 10),
+    (np.eye(2), float("nan")),
+])
+def test_second_moment_rejects_nan(matrix, n):
+    with pytest.raises(DataError):
+        SecondMoment(matrix, n)
 
 
 def test_run_fa_em_rejects_bad_latent_dim():

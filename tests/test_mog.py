@@ -180,16 +180,38 @@ def test_e_step_and_log_likelihood_match_scipy_reference(d, K):
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("bad", [
     np.array([[1.0, 0.0], [0.0, -5e-10]]),  # passes validation at floor 0
-    np.array([[np.inf, 0.0], [0.0, 1.0]]),
+    np.array([[np.inf, 0.0], [0.0, 1.0]]),  # refused before any fit factors it
 ])
 def test_singular_covariance_names_its_component(bad):
     covs = np.stack([np.eye(2), np.eye(2), bad])
+    if not np.isfinite(bad).all():
+        with pytest.raises(ValueError, match="finite"):
+            MoGParams(np.full(3, 1.0 / 3), np.zeros((3, 2)), covs, psd_floor=0.0)
+        return
     params = MoGParams(np.full(3, 1.0 / 3), np.zeros((3, 2)), covs,
                        psd_floor=0.0)
     for fn in (e_step, log_likelihood):
         with pytest.raises(SingularCovarianceError) as info:
             fn(small_data(), params)
         assert info.value.component == 2
+
+
+@pytest.mark.parametrize("field", ["weights", "means", "covariances"])
+def test_mog_params_reject_nan(field):
+    fields = dict(weights=np.full(2, 0.5), means=np.zeros((2, 2)),
+                  covariances=np.stack([np.eye(2)] * 2))
+    fields[field].flat[0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        MoGParams(**fields)
+
+
+@pytest.mark.parametrize("gamma", [
+    np.full((3, 2), np.nan),
+    np.array([[1.0, 0.0], [np.nan, 1.0], [0.5, 0.5]]),
+])
+def test_responsibilities_reject_nan(gamma):
+    with pytest.raises(ValueError):
+        Responsibilities(gamma)
 
 
 # --- m_step_mle ---------------------------------------------------------------
