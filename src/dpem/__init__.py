@@ -65,14 +65,12 @@ from .mechanisms import (
     psd_project,
 )
 from .mog import (
-    MapPrior,
     MoGParams,
     Responsibilities,
     e_step,
     fit_em,
     init_params,
     log_likelihood,
-    m_step_map,
     m_step_mle,
 )
 
@@ -84,9 +82,9 @@ __all__ = [
     "dplloyd", "e_step", "ExperimentResult", "fa_average_log_likelihood",
     "FAParams", "fit_em", "gaussian_moment", "gaussian_sigma", "init_params",
     "laplace_moment", "laplace_scale", "linear_calibrate", "linear_compose",
-    "lloyd", "load_csv", "log_likelihood", "m_step_map", "m_step_mle",
-    "ma_calibrate", "ma_tail_epsilon", "ma_total_moment", "MapPrior",
-    "MoGParams", "MomentCurve", "nicv", "perturb_mean",
+    "lloyd", "load_csv", "log_likelihood", "m_step_mle", "ma_calibrate",
+    "ma_tail_epsilon", "ma_total_moment", "MoGParams", "MomentCurve", "nicv",
+    "perturb_mean",
     "perturb_second_moment", "perturb_simplex", "preprocess", "PrivacyBudget",
     "psd_project", "Responsibilities", "run_dpem_mog", "run_fa_em",
     "second_moment", "SecondMoment", "SingularCovarianceError", "summarize",

@@ -120,7 +120,8 @@ class CompositionPlan:
     def charges(self, eps_i: float,
                 sigma_by_param: dict[str, tuple[float, float]] | None = None
                 ) -> list[tuple]:
-        """The schedule's charges when every release is run at eps_i.
+        """The schedule's charges when every release is run at eps_i; a
+        kind or class with no release gets no charge.
 
         Gaussian releases are minimally calibrated, sigma = sens sqrt(2
         log(1.25/delta_i))/eps_i, so each costs sens^2/(2 sigma^2) =
@@ -128,20 +129,19 @@ class CompositionPlan:
         ``sigma_by_param`` maps a parameter class to its (sensitivity, sigma)
         pair, itemizing the cost per class.
         """
-        if eps_i < 0:
+        if not eps_i >= 0:
             raise ValueError("eps_i must be nonnegative")
         out = [_laplace_charge(eps_i, self.n_laplace)]
         if sigma_by_param is None:
             rho = eps_i ** 2 / (4.0 * math.log(1.25 / self.delta_i))
             out.append(("gaussian", eps_i, self.delta_i, rho, self.n_gaussian))
-            return out
-        for name, count in self.gaussian_class_counts().items():
-            if count == 0:
-                continue
-            sens, sigma = sigma_by_param[name]
-            rho = 0.0 if sens == 0 else sens ** 2 / (2.0 * sigma ** 2)
-            out.append(("gaussian", eps_i, self.delta_i, rho, count))
-        return out
+        else:
+            for name, count in self.gaussian_class_counts().items():
+                sens, sigma = sigma_by_param[name]
+                rho = 0.0 if sens == 0 else sens ** 2 / (2.0 * sigma ** 2)
+                out.append(("gaussian", eps_i, self.delta_i, rho, count))
+        # a release that never runs costs nothing, even at eps_i = inf
+        return [charge for charge in out if charge[-1]]
 
 
 # ---------------------------------------------------------------------------
@@ -155,9 +155,10 @@ def laplace_moment(order: int | np.ndarray, eps_i: float) -> float | np.ndarray:
     logaddexp so large l*eps does not overflow. order 0 gives 0.
     """
     lam = np.asarray(order, dtype=float)
-    if (lam < 0).any():
+    # each check phrased so that NaN fails it
+    if not (lam >= 0).all():
         raise ValueError("order must be nonnegative")
-    if eps_i <= 0:
+    if not eps_i > 0:
         raise ValueError("eps_i must be positive")
     with np.errstate(divide="ignore"):
         a = np.log(lam + 1.0) - np.log(2.0 * lam + 1.0) + lam * eps_i
@@ -173,14 +174,14 @@ def gaussian_moment(order: int | np.ndarray, sensitivity: float,
                     sigma: float) -> float | np.ndarray:
     """Log moment of the Gaussian privacy loss: (l^2 + l) sens^2 / (2 sigma^2)."""
     lam = np.asarray(order, dtype=float)
-    if (lam < 0).any():
+    if not (lam >= 0).all():
         raise ValueError("order must be nonnegative")
-    if sensitivity < 0:
+    if not sensitivity >= 0:
         raise ValueError("sensitivity must be nonnegative")
     if sensitivity == 0:
         out = np.zeros_like(lam)
     else:
-        if sigma <= 0:
+        if not sigma > 0:
             raise ValueError("sigma must be positive")
         out = (lam ** 2 + lam) * sensitivity ** 2 / (2.0 * sigma ** 2)
     if np.ndim(order) == 0:
@@ -219,8 +220,6 @@ def _moment_curve(charges: list[tuple], max_order: int) -> np.ndarray:
     gauss_rho = 0.0
     laplace_counts: dict[float, int] = {}
     for kind, eps_i, _, rho, count in charges:
-        if count == 0:
-            continue
         if kind == "laplace":
             laplace_counts[eps_i] = laplace_counts.get(eps_i, 0) + count
         else:
@@ -261,7 +260,7 @@ def ma_tail_epsilon(curve: MomentCurve, delta: float) -> float:
 
 def zcdp_to_dp(rho: float, delta: float) -> float:
     """Convert rho-zCDP to (eps, delta)-DP: eps = rho + 2 sqrt(rho log(1/delta))."""
-    if rho < 0:
+    if not rho >= 0:
         raise ValueError("rho must be nonnegative")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
@@ -302,10 +301,10 @@ def compose(charges: list[tuple], method: str, delta: float,
     if method == "ma":
         return PrivacyBudget(_tail_epsilon(_moment_curve(charges, max_order), rest),
                              delta)
-    eps_set = {eps_i for _, eps_i, _, _, count in charges if count}
+    eps_set = {eps_i for _, eps_i, *_ in charges}
     if len(eps_set) > 1:
         raise ValueError("advanced composition needs a uniform eps_i")
-    eps_i = max(eps_set, default=0.0)
+    eps_i = eps_set.pop()
     m = sum(count for *_, count in charges)
     eps = (m * eps_i * (math.exp(eps_i) - 1.0)
            + math.sqrt(2.0 * m * math.log(1.0 / rest)) * eps_i)

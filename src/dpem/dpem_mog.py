@@ -31,13 +31,13 @@ from .mechanisms import (
     perturb_mean,
     perturb_simplex,
 )
-from .mog import PSD_FLOOR, MapPrior, MoGParams, e_step, init_params, m_step
+from .mog import PSD_FLOOR, MoGParams, e_step, init_params, m_step
 
 
 @dataclass(frozen=True)
 class DpEmConfig:
-    """Configuration of one private mixture fit. The MAP estimator uses the
-    prior ``MapPrior.default``."""
+    """Configuration of one private mixture fit. The MAP estimator uses
+    ``mog.m_step``'s conjugate prior."""
 
     components: int
     iterations: int
@@ -110,7 +110,6 @@ def run_dpem_mog(data: BoundedDataset, cfg: DpEmConfig
     K = cfg.components
     if data.n < K:
         raise DataError(f"need at least {K} rows, got {data.n}")
-    prior = MapPrior.default(K, data.d) if cfg.estimator == "map" else None
     rng = np.random.default_rng(cfg.seed)
     eps_i = math.inf if cfg.disable_noise else calibrate(
         cfg.plan(), cfg.total, max_order=cfg.max_order)
@@ -118,5 +117,5 @@ def run_dpem_mog(data: BoundedDataset, cfg: DpEmConfig
     params = init_params(data, K, rng)
     for j in range(cfg.iterations):
         release.iteration = j
-        params = m_step(data, e_step(data, params), prior, release)
+        params = m_step(data, e_step(data, params), cfg.estimator == "map", release)
     return params, release.trace

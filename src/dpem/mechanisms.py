@@ -36,7 +36,7 @@ def gaussian_sigma(sensitivity: float, eps_i: float, delta_i: float) -> float:
     sigma = sensitivity * sqrt(2 log(1.25/delta_i)) / eps_i. Valid only for
     eps_i in (0, 1). Zero sensitivity returns 0 so callers can skip noising.
     """
-    if sensitivity < 0:
+    if not sensitivity >= 0:  # NaN fails, as in every check here
         raise ValueError("sensitivity must be nonnegative")
     if sensitivity == 0:
         return 0.0
@@ -49,9 +49,9 @@ def gaussian_sigma(sensitivity: float, eps_i: float, delta_i: float) -> float:
 
 def laplace_scale(sensitivity: float, eps_i: float) -> float:
     """Laplace scale b = sensitivity / eps_i for one eps_i-DP release."""
-    if sensitivity < 0:
+    if not sensitivity >= 0:
         raise ValueError("sensitivity must be nonnegative")
-    if eps_i <= 0:
+    if not eps_i > 0:
         raise ValueError(f"eps_i must be positive, got {eps_i}")
     return sensitivity / eps_i
 

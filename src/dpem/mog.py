@@ -2,7 +2,7 @@
 
 ``m_step`` is the only place the weights, means and covariances are
 computed from the responsibilities. Without a release step it is plain EM
-(``fit_em``, ``m_step_mle``, ``m_step_map``); private EM (``dpem_mog``)
+(``fit_em``, ``m_step_mle``); private EM (``dpem_mog``)
 differs only in the release step it passes, which adds calibrated noise.
 The E-step and likelihood work in the log domain where stability needs it.
 """
@@ -22,6 +22,13 @@ SYM_TOL = 1e-9
 # Components whose soft count falls below this fraction of N are treated as
 # degenerate (see m_step_mle and fit_em).
 COUNT_FLOOR_FRACTION = 1e-8
+
+# The MAP estimator's conjugate prior: Dirichlet(alpha) on the weights and
+# normal-inverse-Wishart on each (mean, covariance), with kappa0, nu0 = d + 2
+# and scale matrix S0 = S0_SCALE * I (Fraley & Raftery 2007).
+DIRICHLET_ALPHA = 2.0
+KAPPA0 = 1.0
+S0_SCALE = 0.1
 
 
 @dataclass(frozen=True)
@@ -90,39 +97,6 @@ class Responsibilities:
     def counts(self) -> np.ndarray:
         """Soft per-component counts N_k."""
         return np.ones(self.gamma.shape[0]) @ self.gamma
-
-
-@dataclass(frozen=True)
-class MapPrior:
-    """Dirichlet prior on the weights and normal-inverse-Wishart on (mean, cov)."""
-
-    dirichlet_alpha: np.ndarray
-    kappa0: float
-    nu0: float
-    s0: np.ndarray
-
-    def __post_init__(self):
-        alpha = np.asarray(self.dirichlet_alpha, dtype=float)
-        s0 = np.asarray(self.s0, dtype=float)
-        if self.kappa0 <= 0 or self.nu0 <= 0:
-            raise ValueError("kappa0 and nu0 must be positive")
-        if s0.ndim != 2 or s0.shape[0] != s0.shape[1]:
-            raise ValueError("s0 must be a square matrix")
-        s0 = 0.5 * (s0 + s0.T)  # so every MAP covariance is exactly symmetric
-        if np.linalg.eigvalsh(s0).min() <= 0:
-            raise ValueError("s0 must be positive definite")
-        object.__setattr__(self, "dirichlet_alpha", alpha)
-        object.__setattr__(self, "s0", s0)
-
-    @classmethod
-    def default(cls, n_components: int, d: int) -> "MapPrior":
-        """Conventional hyperparameters: alpha=2, kappa0=1, nu0=d+2, S0=0.1*I."""
-        return cls(
-            dirichlet_alpha=np.full(n_components, 2.0),
-            kappa0=1.0,
-            nu0=float(d + 2),
-            s0=0.1 * np.eye(d),
-        )
 
 
 def _cholesky(covs: np.ndarray) -> np.ndarray:
@@ -207,8 +181,10 @@ def log_likelihood(data: BoundedDataset, params: MoGParams) -> float:
 
 
 def m_step(data: BoundedDataset, resp: Responsibilities,
-           prior: MapPrior | None = None, release=None) -> MoGParams:
-    """The maximum-likelihood update, or the posterior mode under ``prior``.
+           map_estimate: bool = False, release=None) -> MoGParams:
+    """The maximum-likelihood update or, with ``map_estimate``, the posterior
+    mode under the conjugate prior above. A component with zero soft count
+    then falls back to the prior instead of failing.
 
     The counts that divide come from the weights, and each covariance is
     built from its mean. The means come from one GEMM ``gamma.T @ X``; all
@@ -228,12 +204,11 @@ def m_step(data: BoundedDataset, resp: Responsibilities,
     if release is not None:
         pi = release.weights(pi)
     weights = pi
-    if prior is not None:
-        alpha = prior.dirichlet_alpha
-        weights = (n * pi + alpha - 1.0) / (n + alpha.sum() - K)
+    if map_estimate:
+        weights = (n * pi + DIRICHLET_ALPHA - 1.0) / (n + K * DIRICHLET_ALPHA - K)
         weights = weights / weights.sum()
     counts = n * pi if release is None else release.counts(n * pi)
-    denom = counts if prior is None else counts + prior.kappa0
+    denom = counts + KAPPA0 if map_estimate else counts
     means = (resp.gamma.T @ X) / denom[:, None]  # weighted sums over denom
     if release is not None:
         for k in range(K):
@@ -241,12 +216,12 @@ def m_step(data: BoundedDataset, resp: Responsibilities,
     # scatters minus the weighted-sum outer products, rebuilt from the means
     scatters = unpack_triu(resp.gamma.T @ data.pairs, d)
     outer = means[:, :, None] * means[:, None, :]
-    if prior is None:
+    if map_estimate:
+        cov_denom = counts + (d + 2.0) + d + 2.0  # nu0 = d + 2
+        num = S0_SCALE * np.eye(d) + scatters - denom[:, None, None] * outer
+    else:
         cov_denom = counts
         num = scatters - counts[:, None, None] * outer
-    else:
-        cov_denom = counts + prior.nu0 + d + 2.0
-        num = prior.s0 + scatters - denom[:, None, None] * outer
     covs = num / cov_denom[:, None, None]
     for k in range(K):
         if release is None:
@@ -262,13 +237,6 @@ def m_step_mle(data: BoundedDataset, resp: Responsibilities) -> MoGParams:
         if nk <= COUNT_FLOOR_FRACTION * data.n:
             raise DegenerateComponentError(k, float(nk))
     return m_step(data, resp)
-
-
-def m_step_map(data: BoundedDataset, resp: Responsibilities,
-               prior: MapPrior) -> MoGParams:
-    """Posterior-mode update under the Dirichlet/NIW prior. A component with
-    zero soft count falls back to the prior instead of failing."""
-    return m_step(data, resp, prior)
 
 
 def init_params(data: BoundedDataset, n_components: int,
@@ -302,15 +270,14 @@ def _reassign_degenerate(resp: Responsibilities, n: int,
 
 def fit_em(data: BoundedDataset, n_components: int, iterations: int,
            estimator: str = "mle", seed: int | None = None) -> MoGParams:
-    """Run plain (non-private) EM for a fixed number of iterations; MAP uses
-    the prior ``MapPrior.default``.
+    """Run plain (non-private) EM for a fixed number of iterations, by
+    maximum likelihood or by MAP (``m_step``'s conjugate prior).
 
     No early stopping: the iteration count is part of the contract so that
     private wrappers can compose privacy costs over exactly J steps.
     """
     if estimator not in ("mle", "map"):
         raise ValueError(f"unknown estimator {estimator!r}")
-    prior = MapPrior.default(n_components, data.d) if estimator == "map" else None
     rng = np.random.default_rng(seed)
     params = init_params(data, n_components, rng)
     for _ in range(iterations):
@@ -318,5 +285,5 @@ def fit_em(data: BoundedDataset, n_components: int, iterations: int,
         if estimator == "mle":
             params = m_step_mle(data, resp)
         else:
-            params = m_step_map(data, resp, prior)
+            params = m_step(data, resp, map_estimate=True)
     return params

@@ -493,6 +493,40 @@ def test_compose_plan_charges_match_the_plan_formulas():
         ma_tail_epsilon(curve, slack)
 
 
+def test_plan_charges_skip_releases_that_never_run():
+    # ggg has no Laplace release: its charge would read 0 * inf at eps_i = inf
+    ggg_plan = CompositionPlan("ggg", 2, 2, 1e-6, "linear")
+    assert [c[0] for c in ggg_plan.charges(0.5)] == ["gaussian"]
+    spent = linear_compose(ggg_plan, math.inf)
+    assert spent.epsilon == math.inf
+    assert spent.delta == pytest.approx(1e-5, rel=1e-12)
+    assert zcdp_rho(CompositionPlan("ggg", 2, 2, 1e-6), math.inf) == math.inf
+    # a plan of zero iterations releases nothing and spends nothing
+    empty = CompositionPlan("ggg", 0, 3, 1e-6, "ma")
+    assert empty.charges(0.5) == []
+    assert compose(empty.charges(0.5), "ma", 1e-4) == PrivacyBudget(0.0, 0.0)
+
+
+@pytest.mark.parametrize("fn, args", [
+    (laplace_moment, (np.nan, 0.5)),
+    (laplace_moment, (2, np.nan)),
+    (gaussian_moment, (np.array([1.0, np.nan]), 1.0, 2.0)),
+    (gaussian_moment, (2, np.nan, 2.0)),
+    (gaussian_moment, (2, 1.0, np.nan)),
+    (zcdp_to_dp, (np.nan, 1e-4)),
+])
+def test_moment_and_conversion_helpers_reject_nan(fn, args):
+    with pytest.raises(ValueError):
+        fn(*args)
+
+
+def test_moment_and_conversion_helpers_keep_inf_legal():
+    assert laplace_moment(2, math.inf) == math.inf
+    assert gaussian_moment(2, math.inf, 1.0) == math.inf
+    assert gaussian_moment(2, 1.0, math.inf) == 0.0
+    assert zcdp_to_dp(math.inf, 1e-4) == math.inf
+
+
 def test_compose_trace_empty():
     spent = compose_trace(AccountingTrace(), "linear", 1e-4)
     assert spent.epsilon == 0.0 and spent.delta == 0.0

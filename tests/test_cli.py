@@ -12,6 +12,7 @@ from dpem import cli
 from dpem.accountant import CompositionPlan, PrivacyBudget, calibrate
 from dpem.cli import main
 from dpem.dataio import write_csv
+from dpem.errors import DpemError
 from dpem.mechanisms import gaussian_sigma
 
 
@@ -449,6 +450,19 @@ def test_fit_cell_unattainable_budget_exits_3(tmp_path, capsys, jobs):
                     "--jobs", jobs, "--out", str(out_dir)]) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("unattainable budget:")
+    assert not out_dir.exists()
+
+
+def test_fit_spend_audit_refuses_an_overspent_cell(tmp_path, monkeypatch):
+    # a trace whose recomposed spend exceeds the cell's eps fails the audit
+    # before anything is written
+    monkeypatch.setattr(cli, "compose_trace",
+                        lambda trace, method, delta, max_order: PrivacyBudget(2.0, delta))
+    out_dir = tmp_path / "out"
+    with pytest.raises(DpemError, match="spend audit failed: "):
+        run_cli(["fit", "--model", "mog", "--synth-n", "300", "--iters", "2",
+                 "--eps-list", "1", "--method", "zcdp", "--jobs", "1",
+                 "--out", str(out_dir)])
     assert not out_dir.exists()
 
 

@@ -134,6 +134,7 @@ def test_fa_params_reject_non_finite(loading, psi):
     (np.full((2, 2), np.nan), 10),
     (np.diag([np.inf, 1.0]), 10),
     (np.eye(2), float("nan")),
+    (np.ones((2, 3)), 10),
 ])
 def test_second_moment_rejects_nan(matrix, n):
     with pytest.raises(DataError):

@@ -166,6 +166,14 @@ def test_dplloyd_zcdp_calibration_beats_linear_split():
     assert zcdp_calibrate_pure(5, PrivacyBudget(eps, 1e-4)) < eps / 5
 
 
+def test_dplloyd_rejects_nan_eps():
+    data = blobs(n=200, seed=3)
+    for composition, delta in (("linear", None), ("zcdp", 1e-4)):
+        with pytest.raises(ValueError):
+            dplloyd(data, 3, 2, float("nan"), composition=composition, delta=delta,
+                    rng=np.random.default_rng(0))
+
+
 def test_dplloyd_zcdp_requires_delta():
     data = blobs(n=100)
     with pytest.raises(ValueError):
@@ -198,6 +206,10 @@ def test_dpem_kmeans_flags_floored_counts():
 def test_clustering_validates_labels():
     with pytest.raises(ValueError):
         Clustering(np.zeros((2, 2)), np.array([0, 2]))
+    with pytest.raises(ValueError, match="k x d"):
+        Clustering(np.zeros(2), np.array([0, 1]))
+    with pytest.raises(ValueError, match="k x d"):
+        Clustering(np.zeros((2, 2)), np.zeros((2, 1), dtype=int))
 
 
 def test_output_assignments_are_nearest_center():

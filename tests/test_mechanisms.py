@@ -68,6 +68,24 @@ def test_gaussian_sigma_rejects_out_of_range_eps(eps):
         gaussian_sigma(1.0, eps, 1e-6)
 
 
+@pytest.mark.parametrize("fn, args", [
+    (laplace_scale, (1.0, math.nan)),
+    (laplace_scale, (math.nan, 1.0)),
+    (gaussian_sigma, (math.nan, 0.5, 1e-6)),
+    (gaussian_sigma, (1.0, math.nan, 1e-6)),
+    (gaussian_sigma, (1.0, 0.5, math.nan)),
+])
+def test_noise_scales_reject_nan(fn, args):
+    with pytest.raises(ValueError):
+        fn(*args)
+
+
+def test_noise_scales_keep_inf_legal():
+    assert laplace_scale(1.0, math.inf) == 0.0
+    assert laplace_scale(math.inf, 1.0) == math.inf
+    assert gaussian_sigma(math.inf, 0.5, 1e-6) == math.inf
+
+
 def test_laplace_scale_formula():
     assert laplace_scale(2.0 * math.sqrt(3) / 100.0, 0.5) == pytest.approx(
         2.0 * math.sqrt(3) / 50.0)
@@ -164,6 +182,12 @@ def test_psd_project_idempotent_over_sizes_and_scales():
         assert psd_project(once, 1e-6) is once
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_psd_project_rejects_non_finite(bad):
+    with pytest.raises(DataError, match="non-finite"):
+        psd_project(np.array([[1.0, bad], [bad, 1.0]]), 1e-6)
+
+
 def test_psd_project_decomposes_once_when_it_clamps(monkeypatch):
     calls = []
     eigh = np.linalg.eigh
@@ -197,6 +221,9 @@ def test_analyze_gauss_rejects_asymmetric_input():
     with pytest.raises(DataError):
         analyze_gauss_perturb(np.array([[1.0, 0.2], [0.1, 1.0]]), "gaussian",
                               0.1, np.random.default_rng(0))
+    with pytest.raises(DataError, match="square"):
+        analyze_gauss_perturb(np.ones((2, 3)), "gaussian", 0.1,
+                              np.random.default_rng(0))
 
 
 def test_analyze_gauss_requires_gaussian_spec():

@@ -11,7 +11,6 @@ from dpem.errors import DegenerateComponentError, SingularCovarianceError
 from dpem.mechanisms import psd_project, unpack_triu
 from dpem.mog import (
     PSD_FLOOR,
-    MapPrior,
     MoGParams,
     Responsibilities,
     _reassign_degenerate,
@@ -20,7 +19,6 @@ from dpem.mog import (
     init_params,
     log_likelihood,
     m_step,
-    m_step_map,
     m_step_mle,
 )
 
@@ -208,6 +206,8 @@ def test_mog_params_reject_nan(field):
 @pytest.mark.parametrize("gamma", [
     np.full((3, 2), np.nan),
     np.array([[1.0, 0.0], [np.nan, 1.0], [0.5, 0.5]]),
+    np.full(3, 1.0),                          # not N x K
+    np.array([[0.5, 0.4], [0.5, 0.5]]),       # a row short of 1
 ])
 def test_responsibilities_reject_nan(gamma):
     with pytest.raises(ValueError):
@@ -266,9 +266,11 @@ def test_m_step_mle_one_hot_equals_per_cluster_moments():
 # --- m_step: pair-product scatters --------------------------------------------
 
 
-def per_component_m_step(data, resp, prior=None, release=None):
+def per_component_m_step(data, resp, map_estimate=False, release=None):
     """Reference M-step: each scatter from its own weighted copy of X,
-    ``(gamma[:, k, None] * X).T @ X``, in the statistics' draw order."""
+    ``(gamma[:, k, None] * X).T @ X``, in the statistics' draw order. MAP
+    uses its own literal prior: alpha = 2, kappa0 = 1, nu0 = d + 2,
+    S0 = 0.1 I."""
     X, gamma = data.rows, resp.gamma
     n, d = X.shape
     K = gamma.shape[1]
@@ -277,23 +279,23 @@ def per_component_m_step(data, resp, prior=None, release=None):
     if release is not None:
         pi = release.weights(pi)
     weights = pi
-    if prior is not None:
-        alpha = prior.dirichlet_alpha
+    if map_estimate:
+        alpha = np.full(K, 2.0)
         weights = (n * pi + alpha - 1.0) / (n + alpha.sum() - K)
         weights = weights / weights.sum()
     counts = n * pi if release is None else release.counts(n * pi)
-    denom = counts if prior is None else counts + prior.kappa0
+    denom = counts + 1.0 if map_estimate else counts
     means = (gamma.T @ X) / denom[:, None]
     if release is not None:
         means = np.array([release.mean(k, means[k], denom[k]) for k in range(K)])
     covs = []
     for k in range(K):
         scatter = (gamma[:, k, None] * X).T @ X
-        if prior is None:
-            cov_denom, num = counts[k], scatter - counts[k] * np.outer(means[k], means[k])
+        if map_estimate:
+            cov_denom = counts[k] + float(d + 2) + d + 2.0
+            num = 0.1 * np.eye(d) + scatter - denom[k] * np.outer(means[k], means[k])
         else:
-            cov_denom = counts[k] + prior.nu0 + d + 2.0
-            num = prior.s0 + scatter - denom[k] * np.outer(means[k], means[k])
+            cov_denom, num = counts[k], scatter - counts[k] * np.outer(means[k], means[k])
         cov = num / cov_denom
         cov = 0.5 * (cov + cov.T)
         covs.append(psd_project(cov, PSD_FLOOR) if release is None
@@ -310,7 +312,7 @@ def test_m_step_pair_products_match_per_component_scatters(d, K, estimator, priv
     X = 0.4 * _uniform_ball(600, d, rng) + 0.5 * _uniform_ball(1, d, rng)
     data = BoundedDataset(X)
     resp = Responsibilities(rng.dirichlet(np.ones(K), size=data.n))
-    prior = MapPrior.default(K, d) if estimator == "map" else None
+    map_estimate = estimator == "map"
 
     scatters = unpack_triu(resp.gamma.T @ data.pairs, d)
     assert np.array_equal(scatters, scatters.transpose(0, 2, 1))
@@ -322,8 +324,8 @@ def test_m_step_pair_products_match_per_component_scatters(d, K, estimator, priv
             if private else None
 
     got_release, want_release = release(), release()
-    got = m_step(data, resp, prior, got_release)
-    weights, means, covs = per_component_m_step(data, resp, prior, want_release)
+    got = m_step(data, resp, map_estimate, got_release)
+    weights, means, covs = per_component_m_step(data, resp, map_estimate, want_release)
     # the weights and means do not read the scatters
     np.testing.assert_array_equal(got.weights, weights)
     np.testing.assert_array_equal(got.means, means)
@@ -336,7 +338,7 @@ def test_m_step_pair_products_match_per_component_scatters(d, K, estimator, priv
         assert got_release.trace.records == want_release.trace.records
 
 
-# --- m_step_map ---------------------------------------------------------------
+# --- m_step, MAP ---------------------------------------------------------------
 
 
 def test_m_step_map_approaches_mle_for_large_n():
@@ -346,7 +348,7 @@ def test_m_step_map_approaches_mle_for_large_n():
     data = preprocess(X)
     resp = Responsibilities(np.ones((data.n, 1)))
     mle = m_step_mle(data, resp)
-    mapped = m_step_map(data, resp, MapPrior.default(1, 2))
+    mapped = m_step(data, resp, map_estimate=True)
     rel = np.abs(mapped.means - mle.means).max() / np.abs(mle.means).max()
     assert rel < 1e-4
 
@@ -355,8 +357,7 @@ def test_m_step_map_empty_component_keeps_prior_mass():
     data = small_data()
     gamma = np.zeros((10, 2))
     gamma[:, 0] = 1.0
-    prior = MapPrior.default(2, 2)
-    params = m_step_map(data, Responsibilities(gamma), prior)
+    params = m_step(data, Responsibilities(gamma), map_estimate=True)
     n, alpha_sum, k = 10, 4.0, 2
     assert params.weights[1] == pytest.approx(1.0 / (n + alpha_sum - k))
     assert params.weights[1] > 0
@@ -367,7 +368,7 @@ def test_m_step_map_single_point_hand_value():
     # denominator is nu0 + N_k + d + 2 = 3 + 1 + 1 + 2 = 7
     data = BoundedDataset(np.array([[0.0]]))
     resp = Responsibilities(np.ones((1, 1)))
-    params = m_step_map(data, resp, MapPrior.default(1, 1))
+    params = m_step(data, resp, map_estimate=True)
     assert params.covariances[0, 0, 0] == pytest.approx(0.1 / 7.0)
 
 
@@ -487,3 +488,9 @@ def test_params_invariant_validation():
                   [np.array([[1.0]]), np.array([[1.0]])])
     with pytest.raises(ValueError):
         mk_params([1.0], [[0.0, 0.0]], [np.array([[1.0, 0.0], [0.0, -1.0]])])
+    with pytest.raises(ValueError, match="1-d"):
+        mk_params([[1.0]], [[0.0]], [np.array([[1.0]])])
+    with pytest.raises(ValueError, match="inconsistent"):
+        mk_params([0.5, 0.5], [[0.0]], [np.array([[1.0]])] * 2)
+    with pytest.raises(ValueError, match="symmetric"):
+        mk_params([1.0], [[0.0, 0.0]], [np.array([[1.0, 0.5], [0.0, 1.0]])])
