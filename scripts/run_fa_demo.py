@@ -5,6 +5,10 @@ Builds a planted factor model, privatizes the data second-moment matrix
 once, fits by post-processing EM, and reports how the recovered model
 covariance degrades as the budget shrinks.
 
+The planted rows are not bounded, so ``preprocess`` divides them all by
+their largest norm. That divisor is read from the data outside the
+one-shot release, so the printed eps does not cover it (ROADMAP item 1).
+
     python scripts/run_fa_demo.py
 """
 import argparse

@@ -15,7 +15,9 @@ from .accountant import (
     compose,
     compose_trace,
     gaussian_moment,
+    gaussian_sigma,
     laplace_moment,
+    laplace_scale,
     linear_compose,
     linear_calibrate,
     ma_calibrate,
@@ -58,8 +60,6 @@ from .mechanisms import (
     AccountingTrace,
     TraceRecord,
     analyze_gauss_perturb,
-    gaussian_sigma,
-    laplace_scale,
     perturb_mean,
     perturb_simplex,
     psd_project,

@@ -1,17 +1,19 @@
-"""Privacy-loss accounting and per-iteration budget calibration.
+"""Privacy-loss accounting: the price of each release and their composition.
 
-Four ways compose Laplace/Gaussian releases into a total (epsilon, delta)
-guarantee: linear composition, advanced composition with a slack term,
-zCDP (the total rho converts to approximate DP), and a moments accountant
-that sums log-MGF bounds of the privacy loss and minimizes the Markov tail
-over integer orders.
+This is the one module that prices a release: the noise a release of
+budget eps_i draws (``laplace_scale``, ``gaussian_sigma``) and the charge
+a recorded release costs. Four ways compose Laplace/Gaussian releases into
+a total (epsilon, delta) guarantee: linear composition, advanced
+composition with a slack term, zCDP (the total rho converts to approximate
+DP), and a moments accountant that sums log-MGF bounds of the privacy loss
+and minimizes the Markov tail over integer orders.
 
 Calibration and audit share one engine, :func:`compose`, over *charges*:
 plain tuples (kind, eps_i, delta_i, rho, count), each one release or one
 parallel group at its most expensive member, repeated ``count`` times. A
 :class:`CompositionPlan` yields its charges at a given eps_i, a recorded
-trace one per group (``AccountingTrace.charges``). Calibration searches for
-the largest eps_i whose plan composes inside the budget; the audit composes
+``mechanisms.AccountingTrace`` one per group. Calibration searches for the
+largest eps_i whose plan composes inside the budget; the audit composes
 the trace. Linear and advanced composition read the ``eps_i`` labels (and
 the Gaussian ``delta_i``). zCDP reads ``rho``: eps_i^2/2 for Laplace,
 sensitivity^2/(2 beta) for Gaussian. The moments accountant reads a Laplace
@@ -27,7 +29,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import UnattainableBudgetError
-from .mechanisms import AccountingTrace, charge_delta, charge_rho
 
 DEFAULT_MAX_ORDER = 512
 
@@ -39,6 +40,32 @@ SEARCH_REL_TOL = 1e-6
 
 SCENARIOS = ("llg", "ggg")
 METHODS = ("linear", "advanced", "zcdp", "ma")
+
+
+def gaussian_sigma(sensitivity: float, eps_i: float, delta_i: float) -> float:
+    """Minimal Gaussian noise level for one (eps_i, delta_i)-DP release.
+
+    sigma = sensitivity * sqrt(2 log(1.25/delta_i)) / eps_i. Valid only for
+    eps_i in (0, 1). Zero sensitivity returns 0 so callers can skip noising.
+    """
+    if not sensitivity >= 0:  # NaN fails, as in every check here
+        raise ValueError("sensitivity must be nonnegative")
+    if sensitivity == 0:
+        return 0.0
+    if not 0.0 < eps_i < 1.0:
+        raise ValueError(f"eps_i must lie in (0, 1), got {eps_i}")
+    if not 0.0 < delta_i < 1.0:
+        raise ValueError(f"delta_i must lie in (0, 1), got {delta_i}")
+    return sensitivity * math.sqrt(2.0 * math.log(1.25 / delta_i)) / eps_i
+
+
+def laplace_scale(sensitivity: float, eps_i: float) -> float:
+    """Laplace scale b = sensitivity / eps_i for one eps_i-DP release."""
+    if not sensitivity >= 0:
+        raise ValueError("sensitivity must be nonnegative")
+    if not eps_i > 0:
+        raise ValueError(f"eps_i must be positive, got {eps_i}")
+    return sensitivity / eps_i
 
 
 @dataclass(frozen=True)
@@ -123,11 +150,10 @@ class CompositionPlan:
         """The schedule's charges when every release is run at eps_i; a
         kind or class with no release gets no charge.
 
-        Gaussian releases are minimally calibrated, sigma = sens sqrt(2
-        log(1.25/delta_i))/eps_i, so each costs sens^2/(2 sigma^2) =
-        eps_i^2/(4 log(1.25/delta_i)) whatever its sensitivity, unless
-        ``sigma_by_param`` maps a parameter class to its (sensitivity, sigma)
-        pair, itemizing the cost per class.
+        Gaussian releases are minimally calibrated by ``gaussian_sigma``, so
+        each costs sens^2/(2 sigma^2) = eps_i^2/(4 log(1.25/delta_i))
+        whatever its sensitivity, unless ``sigma_by_param`` maps a parameter
+        class to its (sensitivity, sigma) pair, itemizing the cost per class.
         """
         if not eps_i >= 0:
             raise ValueError("eps_i must be nonnegative")
@@ -288,8 +314,9 @@ def compose(charges: list[tuple], method: str, delta: float,
     if not charges:
         return PrivacyBudget(0.0, 0.0)
     if method == "zcdp":
-        return PrivacyBudget(zcdp_to_dp(charge_rho(charges), delta), delta)
-    gauss_delta = charge_delta(charges)
+        rho = sum(count * r for _, _, _, r, count in charges)
+        return PrivacyBudget(zcdp_to_dp(rho, delta), delta)
+    gauss_delta = sum(count * d for _, _, d, _, count in charges if d is not None)
     if method == "linear":
         return PrivacyBudget(sum(count * eps_i for _, eps_i, _, _, count in charges),
                              gauss_delta)
@@ -311,22 +338,57 @@ def compose(charges: list[tuple], method: str, delta: float,
     return PrivacyBudget(eps, rest + gauss_delta)
 
 
-def compose_trace(trace: AccountingTrace, method: str, delta: float,
+def _record_rho(r) -> float:
+    """zCDP cost of one trace record: eps_i^2/2 for a pure-DP release,
+    sens^2/(2 beta) for Gaussian."""
+    if r.kind == "laplace":
+        return 0.5 * r.eps_i ** 2
+    if r.beta is None or r.beta == 0.0:
+        return 0.0 if r.sensitivity == 0 else float("inf")
+    return r.sensitivity ** 2 / (2.0 * r.beta)
+
+
+def _trace_charges(trace) -> list[tuple]:
+    """One charge (kind, eps_i, delta_i, rho, 1) per ``trace.groups()`` group.
+
+    A group is charged at its most expensive member: the largest eps_i
+    label, Gaussian delta_i and ``_record_rho``. A group mixing Laplace and
+    Gaussian members has no such member under the moments accountant
+    (neither log moment bounds the other at every order) and is refused.
+    """
+    out = []
+    for g in trace.groups():
+        r = g[0]
+        if len(g) == 1:
+            delta_i = r.delta_i if r.kind == "gaussian" else None
+            out.append((r.kind, r.eps_i, delta_i, _record_rho(r), 1))
+            continue
+        if any(m.kind != r.kind for m in g):
+            raise ValueError("a parallel group mixes Laplace and Gaussian releases")
+        deltas = [m.delta_i for m in g if m.delta_i is not None]
+        out.append((r.kind, max(m.eps_i for m in g),
+                    max(deltas) if r.kind == "gaussian" and deltas else None,
+                    max(_record_rho(m) for m in g), 1))
+    return out
+
+
+def compose_trace(trace, method: str, delta: float,
                   max_order: int = DEFAULT_MAX_ORDER) -> PrivacyBudget:
-    """Recompose a recorded trace into a total (epsilon, delta) spend.
+    """Recompose a recorded ``mechanisms.AccountingTrace`` into a total
+    (epsilon, delta) spend.
 
     The audit runs the same :func:`compose` as calibration, on the records
     actually released rather than on the plan. Linear and advanced read each
     record's ``eps_i`` label (and a Gaussian record's ``delta_i``). zCDP and
-    the moments accountant read ``TraceRecord.zcdp_rho``, sensitivity^2/
-    (2 beta) for a Gaussian record; the moments accountant reads a Laplace
-    record's ``eps_i``. Records are charged per group
-    (``AccountingTrace.charges``): a parallel group, e.g. the k centroids of
-    one k-means iteration, reads disjoint cells of the data, so a
-    neighbouring pair moves one member's input and the group costs its most
-    expensive member. Every other record is a group of one.
+    the moments accountant read the record's rho, sensitivity^2/(2 beta) for
+    a Gaussian record; the moments accountant reads a Laplace record's
+    ``eps_i``. Records are charged per group (``AccountingTrace.groups``):
+    a parallel group, e.g. the k centroids of one k-means iteration, reads
+    disjoint cells of the data, so a neighbouring pair moves one member's
+    input and the group costs its most expensive member. Every other record
+    is a group of one.
     """
-    return compose(trace.charges(), method, delta, max_order=max_order)
+    return compose(_trace_charges(trace), method, delta, max_order=max_order)
 
 
 def zcdp_rho(plan: CompositionPlan, eps_i: float,
@@ -336,7 +398,8 @@ def zcdp_rho(plan: CompositionPlan, eps_i: float,
     Laplace releases contribute eps_i^2/2 each; Gaussian releases contribute
     sens^2/(2 sigma^2), itemized per parameter class.
     """
-    return charge_rho(plan.charges(eps_i, sigma_by_param))
+    charges = plan.charges(eps_i, sigma_by_param)
+    return sum(count * rho for _, _, _, rho, count in charges)
 
 
 def linear_compose(plan: CompositionPlan, eps_i: float) -> PrivacyBudget:

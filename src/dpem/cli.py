@@ -34,13 +34,14 @@ from .accountant import (
     PrivacyBudget,
     calibrate,
     compose_trace,
+    gaussian_sigma,
+    laplace_scale,
 )
 from .data import BoundedDataset, preprocess
 from .dpem_mog import DpEmConfig, _PrivateRelease, run_dpem_mog
 from .errors import DataError, DpemError, UnattainableBudgetError
 from .fa import fa_average_log_likelihood, perturb_second_moment, run_fa_em, second_moment
 from .kmeans import dplloyd, dpem_kmeans, lloyd, nicv
-from .mechanisms import gaussian_sigma
 from .mog import fit_em, log_likelihood
 
 EXIT_OK = 0
@@ -103,12 +104,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     fit = sub.add_parser("fit", help="run a privacy/utility sweep")
     fit.add_argument("--model", choices=tuple(FIT_METHODS), required=True)
-    fit.add_argument("--data", type=str, default=None,
-                     help="numeric CSV of raw data rows")
+    source = fit.add_mutually_exclusive_group(required=True)
+    source.add_argument("--data", type=str, default=None,
+                        help="numeric CSV of raw data rows")
+    source.add_argument("--synth-n", type=int, default=None,
+                        help="generate a planted mixture instead of reading --data")
     fit.add_argument("--header", action="store_true",
                      help="skip the first CSV line")
-    fit.add_argument("--synth-n", type=int, default=None,
-                     help="generate a planted mixture instead of reading --data")
     fit.add_argument("--synth-d", type=int, default=2)
     fit.add_argument("--synth-k", type=int, default=3)
     fit.add_argument("--synth-separation", type=float, default=6.0)
@@ -155,7 +157,7 @@ def _calibrate_row(method: str, args) -> dict:
         return row
     row["eps_i"] = eps_i
     row["gauss_sigma_mult"] = gaussian_sigma(1.0, eps_i, args.delta_i)
-    row["laplace_scale_mult"] = 1.0 / eps_i
+    row["laplace_scale_mult"] = laplace_scale(1.0, eps_i)
     if args.n:  # balanced components: N_k = n / K
         release = _PrivateRelease(args.scenario, eps_i, args.delta_i, None, args.n, None)
         for col, label, count in (("noise_weights", "weights", args.n),
@@ -207,11 +209,9 @@ def cmd_calibrate(args) -> int:
 def _load_matrix(args) -> np.ndarray:
     if args.data is not None:
         return dataio.load_csv(args.data, has_header=args.header)
-    if args.synth_n is not None:
-        raw, _ = dataio.synth_mog(args.synth_n, args.synth_d, args.synth_k,
-                                  args.synth_separation, seed=args.synth_seed)
-        return raw
-    raise DataError("provide --data or --synth-n")
+    raw, _ = dataio.synth_mog(args.synth_n, args.synth_d, args.synth_k,
+                              args.synth_separation, seed=args.synth_seed)
+    return raw
 
 
 def _init_worker(sweep: tuple | None) -> None:

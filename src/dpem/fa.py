@@ -67,14 +67,6 @@ class FAParams:
         """G = (I + W^T Psi^-1 W)^-1, the latent posterior covariance."""
         return _posterior_cov(self.loading, self.psi)
 
-    @property
-    def d(self) -> int:
-        return self.loading.shape[0]
-
-    @property
-    def q(self) -> int:
-        return self.loading.shape[1]
-
     def model_covariance(self) -> np.ndarray:
         """W W^T + diag(psi), the marginal covariance the model implies."""
         w = self.loading

@@ -1,13 +1,16 @@
-"""Noise mechanisms, output projections and the one release step.
+"""Noise draws, output projections and the one release step.
 
 Laplace and Gaussian perturbation of released statistics, symmetric-matrix
-(upper-triangle) Gaussian perturbation for covariances, and the simplex /
-positive-semidefinite projections that keep released parameters valid.
+(upper-triangle) Gaussian perturbation for covariances, the simplex /
+positive-semidefinite projections that keep released parameters valid, and
+the ``AccountingTrace`` that records every release.
 
 Every private path releases through ``Release``, under one ``ROW_CHANGE``
-relation. At ``eps_i = inf`` every noise scale is 0 and every mechanism the
-identity, which lets the private pipelines be exercised against their
-non-private counterparts in tests.
+relation. This module draws, projects and records; it takes its noise
+scales from ``accountant`` (``laplace_scale``, ``gaussian_sigma``), which
+also prices every record. At ``eps_i = inf`` every noise scale is 0 and
+every mechanism the identity, which lets the private pipelines be exercised
+against their non-private counterparts in tests.
 """
 from __future__ import annotations
 
@@ -18,6 +21,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
+from .accountant import gaussian_sigma, laplace_scale
 from .errors import DataError
 
 # Noised mixture-component and cluster counts are clamped here before they
@@ -28,32 +32,6 @@ PSD_FLOOR = 1e-6
 # Sensitivity per unit of one row's largest contribution: a replaced row takes
 # out one contribution and puts in another (Dwork & Roth 2014, section 2.3).
 ROW_CHANGE = {"replace-one": 2.0, "add-remove": 1.0}
-
-
-def gaussian_sigma(sensitivity: float, eps_i: float, delta_i: float) -> float:
-    """Minimal Gaussian noise level for one (eps_i, delta_i)-DP release.
-
-    sigma = sensitivity * sqrt(2 log(1.25/delta_i)) / eps_i. Valid only for
-    eps_i in (0, 1). Zero sensitivity returns 0 so callers can skip noising.
-    """
-    if not sensitivity >= 0:  # NaN fails, as in every check here
-        raise ValueError("sensitivity must be nonnegative")
-    if sensitivity == 0:
-        return 0.0
-    if not 0.0 < eps_i < 1.0:
-        raise ValueError(f"eps_i must lie in (0, 1), got {eps_i}")
-    if not 0.0 < delta_i < 1.0:
-        raise ValueError(f"delta_i must lie in (0, 1), got {delta_i}")
-    return sensitivity * math.sqrt(2.0 * math.log(1.25 / delta_i)) / eps_i
-
-
-def laplace_scale(sensitivity: float, eps_i: float) -> float:
-    """Laplace scale b = sensitivity / eps_i for one eps_i-DP release."""
-    if not sensitivity >= 0:
-        raise ValueError("sensitivity must be nonnegative")
-    if not eps_i > 0:
-        raise ValueError(f"eps_i must be positive, got {eps_i}")
-    return sensitivity / eps_i
 
 
 @dataclass(frozen=True)
@@ -80,15 +58,6 @@ class TraceRecord:
     beta: Optional[float] = None
     parallel: bool = False
 
-    def zcdp_rho(self) -> float:
-        """zCDP cost: eps_i^2/2 for a pure-DP release, sens^2/(2 beta) for
-        Gaussian."""
-        if self.kind == "laplace":
-            return 0.5 * self.eps_i ** 2
-        if self.beta is None or self.beta == 0.0:
-            return 0.0 if self.sensitivity == 0 else float("inf")
-        return self.sensitivity ** 2 / (2.0 * self.beta)
-
 
 class AccountingTrace:
     """Ordered list of mechanism invocations for one private run, and the
@@ -111,14 +80,6 @@ class AccountingTrace:
     def __getitem__(self, idx):
         return self.records[idx]
 
-    @property
-    def n_laplace(self) -> int:
-        return sum(1 for r in self.records if r.kind == "laplace")
-
-    @property
-    def n_gaussian(self) -> int:
-        return sum(1 for r in self.records if r.kind == "gaussian")
-
     def groups(self) -> list[list[TraceRecord]]:
         """Records bundled for parallel composition, in trace order.
 
@@ -133,41 +94,8 @@ class AccountingTrace:
             groups.setdefault(key, []).append(r)
         return list(groups.values())
 
-    def charges(self) -> list[tuple]:
-        """One charge (kind, eps_i, delta_i, rho, count=1) per group.
-
-        A group is charged at its most expensive member: the largest eps_i
-        label, Gaussian delta_i and ``zcdp_rho``. A group mixing Laplace and
-        Gaussian members has no such member under the moments accountant
-        (neither log moment bounds the other at every order) and is refused.
-        """
-        out = []
-        for g in self.groups():
-            r = g[0]
-            if len(g) == 1:
-                delta_i = r.delta_i if r.kind == "gaussian" else None
-                out.append((r.kind, r.eps_i, delta_i, r.zcdp_rho(), 1))
-                continue
-            if any(m.kind != r.kind for m in g):
-                raise ValueError("a parallel group mixes Laplace and Gaussian releases")
-            deltas = [m.delta_i for m in g if m.delta_i is not None]
-            out.append((r.kind, max(m.eps_i for m in g),
-                        max(deltas) if r.kind == "gaussian" and deltas else None,
-                        max(m.zcdp_rho() for m in g), 1))
-        return out
-
     def flagged(self) -> list[TraceRecord]:
         return [r for r in self.records if r.flagged]
-
-
-def charge_rho(charges: list[tuple]) -> float:
-    """zCDP cost of a list of charges."""
-    return sum(count * rho for _, _, _, rho, count in charges)
-
-
-def charge_delta(charges: list[tuple]) -> float:
-    """delta_i mass of a list of charges (Laplace charges carry None)."""
-    return sum(count * d for _, _, d, _, count in charges if d is not None)
 
 
 def _draw(kind: str, scale: float, size, rng: np.random.Generator) -> np.ndarray:

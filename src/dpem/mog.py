@@ -71,10 +71,6 @@ class MoGParams:
     def n_components(self) -> int:
         return self.weights.shape[0]
 
-    @property
-    def d(self) -> int:
-        return self.means.shape[1]
-
 
 @dataclass(frozen=True)
 class Responsibilities:

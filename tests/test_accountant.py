@@ -8,12 +8,14 @@ from dpem.accountant import (
     CompositionPlan,
     MomentCurve,
     PrivacyBudget,
+    _record_rho,
     advanced_calibrate,
     advanced_compose,
     calibrate,
     compose,
     compose_trace,
     gaussian_moment,
+    gaussian_sigma,
     laplace_moment,
     linear_calibrate,
     linear_compose,
@@ -26,7 +28,7 @@ from dpem.accountant import (
     zcdp_to_dp,
 )
 from dpem.errors import UnattainableBudgetError
-from dpem.mechanisms import AccountingTrace, TraceRecord, gaussian_sigma
+from dpem.mechanisms import AccountingTrace, TraceRecord
 
 
 def ggg(j, k, method="zcdp", delta_i=1e-6):
@@ -459,11 +461,11 @@ def test_compose_trace_charges_parallel_group_once():
 
 
 def test_zcdp_and_ma_audits_read_the_same_gaussian_rho():
-    # both read TraceRecord.zcdp_rho, sens^2/(2 beta); noise_scale is not read
+    # both read the record's rho, sens^2/(2 beta); noise_scale is not read
     orders = np.arange(1, 65)
     rec = TraceRecord("gaussian", 2.0, 1.0, 0.5, 1e-6, "cov", 0, beta=16.0)
     trace = AccountingTrace([rec])
-    assert rec.zcdp_rho() == 0.125
+    assert _record_rho(rec) == 0.125
     z = compose_trace(trace, "zcdp", 1e-4)
     assert z.epsilon == pytest.approx(zcdp_to_dp(0.125, 1e-4), rel=1e-15)
     ma = compose_trace(trace, "ma", 1e-4, max_order=64)
@@ -525,6 +527,54 @@ def test_moment_and_conversion_helpers_keep_inf_legal():
     assert gaussian_moment(2, math.inf, 1.0) == math.inf
     assert gaussian_moment(2, 1.0, math.inf) == 0.0
     assert zcdp_to_dp(math.inf, 1e-4) == math.inf
+
+
+@pytest.mark.parametrize("call, error, match", [
+    pytest.param(lambda: calibrate(ggg(2, 2), PrivacyBudget(0.0, 1e-4)),
+                 ValueError, "calibration needs", id="calibrate-eps-0"),
+    pytest.param(lambda: calibrate(ggg(2, 2), PrivacyBudget(1.0, 0.0)),
+                 ValueError, "calibration needs", id="calibrate-delta-0"),
+    pytest.param(lambda: CompositionPlan("ggg", -1, 2, 1e-6),
+                 ValueError, "nonnegative", id="plan-negative-iterations"),
+    pytest.param(lambda: CompositionPlan("ggg", 2, 2, 1.0),
+                 ValueError, "delta_i must lie", id="plan-delta_i-1"),
+    pytest.param(lambda: CompositionPlan("ggg", 2, 2, math.nan),
+                 ValueError, "delta_i must lie", id="plan-delta_i-nan"),
+    pytest.param(lambda: ggg(2, 2).charges(-0.1),
+                 ValueError, "eps_i must be nonnegative", id="charges-negative"),
+    pytest.param(lambda: ggg(2, 2).charges(math.nan),
+                 ValueError, "eps_i must be nonnegative", id="charges-nan"),
+    pytest.param(lambda: MomentCurve(np.array([])),
+                 ValueError, "at least one order", id="curve-empty"),
+    pytest.param(lambda: MomentCurve(np.array([0.0, -1.0])),
+                 ValueError, "finite and nonnegative", id="curve-negative"),
+    pytest.param(lambda: MomentCurve(np.array([0.0, math.nan])),
+                 ValueError, "finite and nonnegative", id="curve-nan"),
+    pytest.param(lambda: MomentCurve(np.zeros(4))(0),
+                 ValueError, "outside", id="curve-order-0"),
+    pytest.param(lambda: MomentCurve(np.zeros(4))(5),
+                 ValueError, "outside", id="curve-order-5"),
+    pytest.param(lambda: ma_tail_epsilon(MomentCurve(np.zeros(4)), 0.0),
+                 ValueError, "delta must lie", id="tail-delta-0"),
+    pytest.param(lambda: zcdp_to_dp(0.1, 1.0),
+                 ValueError, "delta must lie", id="zcdp_to_dp-delta-1"),
+    pytest.param(lambda: compose(ggg(1, 1).charges(0.1), "bogus", 1e-4),
+                 ValueError, "method must be one of", id="compose-unknown-method"),
+    pytest.param(lambda: compose(ggg(1, 1).charges(0.1) + ggg(1, 1).charges(0.2),
+                                 "advanced", 1e-4),
+                 ValueError, "uniform eps_i", id="advanced-mixed-labels"),
+    pytest.param(lambda: advanced_compose(ggg(2, 2), 0.1, 0.0),
+                 ValueError, "slack must lie", id="advanced-slack-0"),
+    pytest.param(lambda: zcdp_calibrate_pure(1, PrivacyBudget(1e-20, 1e-4)),
+                 UnattainableBudgetError, "unattainable", id="pure-tiny-eps"),
+    pytest.param(lambda: zcdp_calibrate_pure(0, PrivacyBudget(1.0, 1e-4)),
+                 ValueError, "at least one mechanism", id="pure-no-mechanism"),
+    pytest.param(lambda: linear_calibrate(ggg(0, 2), PrivacyBudget(1.0, 1e-4)),
+                 ValueError, "empty plan", id="linear-empty-plan"),
+])
+def test_accountant_rejects_invalid_input(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
 
 
 def test_compose_trace_empty():

@@ -9,11 +9,10 @@ import pytest
 
 import dpem
 from dpem import cli
-from dpem.accountant import CompositionPlan, PrivacyBudget, calibrate
+from dpem.accountant import CompositionPlan, PrivacyBudget, calibrate, gaussian_sigma
 from dpem.cli import main
 from dpem.dataio import write_csv
 from dpem.errors import DpemError
-from dpem.mechanisms import gaussian_sigma
 
 
 def run_cli(args):
@@ -97,6 +96,21 @@ def test_bad_flags_exit_2():
     with pytest.raises(SystemExit) as err:
         run_cli(["calibrate", "--eps", "1"])  # missing required flags
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("source", [
+    pytest.param([], id="neither"),
+    pytest.param(["--data", "rows.csv", "--synth-n", "500"], id="both"),
+])
+def test_fit_needs_exactly_one_data_source(tmp_path, source, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_csv("rows.csv", np.random.default_rng(0).uniform(-1, 1, (12, 2)))
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as err:
+        run_cli(["fit", "--model", "kmeans", "--k", "2", "--iters", "2",
+                 "--eps-list", "1", *source, "--out", str(out)])
+    assert err.value.code == 2
+    assert not out.exists()
 
 
 # --- fit ------------------------------------------------------------------------

@@ -61,16 +61,16 @@ def test_trace_length_ggg():
     cfg = cfg_for(data, components=3, iterations=10)
     _, trace = run_dpem_mog(data, cfg)
     assert len(trace) == 10 * (2 * 3 + 1)
-    assert trace.n_gaussian == 70
-    assert trace.n_laplace == 0
+    assert [r.kind for r in trace] == ["gaussian"] * 70
 
 
 def test_trace_split_llg():
     data = planted(n=600, k=2)
     cfg = cfg_for(data, iterations=3, scenario="llg")
     _, trace = run_dpem_mog(data, cfg)
-    assert trace.n_laplace == 3 * (2 + 1)
-    assert trace.n_gaussian == 3 * 2
+    kinds = [r.kind for r in trace]
+    assert kinds.count("laplace") == 3 * (2 + 1)
+    assert kinds.count("gaussian") == 3 * 2
     labels = [r.label for r in trace][:5]
     assert labels == ["weights", "mean", "mean", "covariance", "covariance"]
 
@@ -134,6 +134,15 @@ def test_config_validates_scenario_and_method_eagerly():
         cfg_for(None, scenario="bogus", disable_noise=True)
     with pytest.raises(ValueError):
         cfg_for(None, method="bogus", disable_noise=True)
+
+
+def test_config_and_fit_em_reject_bad_components_and_estimators():
+    with pytest.raises(ValueError, match="components and iterations"):
+        cfg_for(None, components=0)
+    with pytest.raises(ValueError, match="unknown estimator"):
+        cfg_for(None, estimator="x")
+    with pytest.raises(ValueError, match="unknown estimator"):
+        fit_em(planted(n=100), 2, 1, estimator="x")
 
 
 def test_rejects_fewer_rows_than_components():

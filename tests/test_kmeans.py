@@ -174,6 +174,12 @@ def test_dplloyd_rejects_nan_eps():
                     rng=np.random.default_rng(0))
 
 
+def test_dplloyd_rejects_an_unknown_composition():
+    with pytest.raises(ValueError, match="composition must be"):
+        dplloyd(blobs(n=100), 2, 2, eps=0.5, composition="x",
+                rng=np.random.default_rng(0))
+
+
 def test_dplloyd_zcdp_requires_delta():
     data = blobs(n=100)
     with pytest.raises(ValueError):

@@ -5,7 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpem.accountant import SCENARIOS, PrivacyBudget
+from dpem.accountant import (
+    SCENARIOS,
+    PrivacyBudget,
+    _record_rho,
+    _trace_charges,
+    compose_trace,
+    gaussian_sigma,
+    laplace_scale,
+    zcdp_to_dp,
+)
 from dpem.data import BoundedDataset, preprocess
 from dpem.dataio import synth_mog
 from dpem.dpem_mog import DpEmConfig, _PrivateRelease, run_dpem_mog
@@ -20,10 +29,6 @@ from dpem.mechanisms import (
     Release,
     TraceRecord,
     analyze_gauss_perturb,
-    charge_delta,
-    charge_rho,
-    gaussian_sigma,
-    laplace_scale,
     perturb_mean,
     perturb_simplex,
     psd_project,
@@ -286,12 +291,12 @@ def test_trace_counts_and_rho():
     trace = AccountingTrace()
     trace.append(TraceRecord("laplace", 1.0, 2.0, 0.5, None, "weights", 0))
     trace.append(TraceRecord("gaussian", 1.0, 2.0, 0.5, 1e-6, "cov", 0, beta=4.0))
-    assert trace.n_laplace == 1
-    assert trace.n_gaussian == 1
+    assert [r.kind for r in trace] == ["laplace", "gaussian"]
     assert trace.neighbours is None  # built by hand
-    assert charge_delta(trace.charges()) == pytest.approx(1e-6)
+    assert compose_trace(trace, "linear", 1e-4).delta == pytest.approx(1e-6)
     # laplace: eps^2/2; gaussian: 1/(2*4)
-    assert charge_rho(trace.charges()) == pytest.approx(0.5 * 0.25 + 0.125)
+    assert compose_trace(trace, "zcdp", 1e-4).epsilon == pytest.approx(
+        zcdp_to_dp(0.5 * 0.25 + 0.125, 1e-4))
     assert trace[1].beta == pytest.approx(4.0)
 
 
@@ -306,8 +311,8 @@ def test_trace_parallel_group_charged_at_its_most_expensive_member():
                                  "centroid", 1, parallel=True))
     groups = trace.groups()
     assert [len(g) for g in groups] == [1, 3, 2]
-    assert charge_rho(trace.charges()) == pytest.approx(
-        0.5 * (0.25 ** 2 + 0.5 ** 2 + 0.4 ** 2))
+    assert compose_trace(trace, "zcdp", 1e-4).epsilon == pytest.approx(
+        zcdp_to_dp(0.5 * (0.25 ** 2 + 0.5 ** 2 + 0.4 ** 2), 1e-4))
 
 
 def test_trace_charges_one_per_group_at_the_costliest_member():
@@ -317,9 +322,9 @@ def test_trace_charges_one_per_group_at_the_costliest_member():
         trace.append(TraceRecord("laplace", 1.0, 1.0 / eps_i, eps_i, None,
                                  "centroid", 0, parallel=True))
     trace.append(TraceRecord("gaussian", 1.0, 2.0, 0.5, 1e-6, "cov", 0, beta=4.0))
-    assert trace.charges() == [("laplace", 0.25, None, 0.5 * 0.25 ** 2, 1),
-                               ("laplace", 0.5, None, 0.5 * 0.5 ** 2, 1),
-                               ("gaussian", 0.5, 1e-6, 0.125, 1)]
+    assert _trace_charges(trace) == [("laplace", 0.25, None, 0.5 * 0.25 ** 2, 1),
+                                     ("laplace", 0.5, None, 0.5 * 0.5 ** 2, 1),
+                                     ("gaussian", 0.5, 1e-6, 0.125, 1)]
 
 
 def test_trace_charges_refuse_a_mixed_parallel_group():
@@ -328,12 +333,12 @@ def test_trace_charges_refuse_a_mixed_parallel_group():
         TraceRecord("gaussian", 1.0, 2.0, 0.5, 1e-6, "x", 0, beta=4.0,
                     parallel=True)])
     with pytest.raises(ValueError, match="mixes"):
-        trace.charges()
+        _trace_charges(trace)
 
 
 def test_trace_record_zcdp_rho_pure_dp_unit():
     rec = TraceRecord("laplace", 1.0, 1.0, 1.0, None, "x", 0)
-    assert rec.zcdp_rho() == pytest.approx(0.5)
+    assert _record_rho(rec) == pytest.approx(0.5)
 
 
 # --- release ----------------------------------------------------------------------
