@@ -4,7 +4,10 @@
 computed from the responsibilities. Without a release step it is plain EM
 (``fit_em``, ``m_step_mle``); private EM (``dpem_mog``)
 differs only in the release step it passes, which adds calibrated noise.
-The E-step and likelihood work in the log domain where stability needs it.
+The E-step and likelihood work in the log domain where stability needs it,
+component-major: every intermediate is a (K, N) matrix of K contiguous rows,
+and the responsibilities are handed on as its transpose, an F-ordered
+(N, K) view.
 """
 from __future__ import annotations
 
@@ -53,16 +56,19 @@ class MoGParams:
             raise ValueError("weights, means and covariances must be finite")
         if (w < -SIMPLEX_TOL).any() or abs(w.sum() - 1.0) > SIMPLEX_TOL:
             raise ValueError(f"weights are not on the simplex (sum={w.sum()!r})")
-        for j in range(k):
-            if np.abs(cov[j] - cov[j].T).max() > SYM_TOL:
-                raise ValueError(f"covariance {j} is not symmetric")
-            min_eig = float(np.linalg.eigvalsh(cov[j]).min())
-            # small relative slack: eigenvalues of a clamped-then-rebuilt
-            # matrix can undershoot the floor by rounding error
-            if min_eig < self.psd_floor - 1e-9 * max(1.0, float(np.abs(cov[j]).max())):
-                raise ValueError(
-                    f"covariance {j} has eigenvalue {min_eig:.3e} below floor"
-                )
+        asym = np.flatnonzero(np.abs(cov - cov.transpose(0, 2, 1)).max(axis=(1, 2))
+                              > SYM_TOL)
+        if asym.size:
+            raise ValueError(f"covariance {asym[0]} is not symmetric")
+        min_eig = np.linalg.eigvalsh(cov).min(axis=1)
+        # small relative slack: eigenvalues of a clamped-then-rebuilt
+        # matrix can undershoot the floor by rounding error
+        slack = 1e-9 * np.maximum(1.0, np.abs(cov).max(axis=(1, 2)))
+        low = np.flatnonzero(min_eig < self.psd_floor - slack)
+        if low.size:
+            raise ValueError(
+                f"covariance {low[0]} has eigenvalue {min_eig[low[0]]:.3e} below floor"
+            )
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", mu)
         object.__setattr__(self, "covariances", cov)
@@ -118,62 +124,66 @@ def _cholesky(covs: np.ndarray) -> np.ndarray:
 
 
 def _log_joint(data: BoundedDataset, params: MoGParams) -> np.ndarray:
-    """Matrix of log(pi_k) + log N(x_i | mu_k, Sigma_k).
+    """(K, N) matrix of log(pi_k) + log N(x_i | mu_k, Sigma_k), one
+    contiguous row per component.
 
     Each covariance is factored as L_k L_k^T; the whitened rows
-    L_k^{-1}(x_i - mu_k) of every component come from one GEMM of X with
-    the K inverse factors stacked side by side, minus the whitened means.
+    L_k^{-1}(x_i - mu_k) of every component come from one GEMM of the K
+    inverse factors, stacked into K*d rows, with X^T, minus the whitened
+    means as a column. The squares are summed over the d rows of each
+    component in order, 0 to d-1.
     """
     X = data.rows
     n, d = X.shape
     K = params.n_components
     chol = _cholesky(params.covariances)
     inv = np.linalg.inv(chol)  # (K, d, d) inverse factors
-    # column k*d + a of `whiten` is row a of inv[k]
-    whiten = inv.transpose(2, 0, 1).reshape(d, K * d)
-    white_means = np.einsum("kab,kb->ka", inv, params.means).reshape(K * d)
-    z = X @ whiten
+    white_means = np.einsum("kab,kb->ka", inv, params.means).reshape(K * d, 1)
+    z = inv.reshape(K * d, d) @ X.T  # row k*d + a is row a of inv[k] times X^T
     z -= white_means
     z *= z
-    maha = (z.reshape(n * K, d) @ np.ones(d)).reshape(n, K)
+    log_joint = z.reshape(K, d, n).sum(axis=1)
     log_det = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)) @ np.ones(d)
     with np.errstate(divide="ignore"):
         log_w = np.log(params.weights)
     const = log_w - 0.5 * (d * np.log(2.0 * np.pi) + log_det)
-    maha *= -0.5
-    maha += const  # in place: the array now holds the log joint
-    return maha
+    log_joint *= -0.5
+    log_joint += const[:, None]
+    return log_joint
 
 
 def _shifted_exp(log_joint: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Max-shift log-sum-exp over the K columns of each row, in place.
+    """Max-shift log-sum-exp over the K rows of a (K, N) log joint, in place.
 
-    Overwrites ``log_joint`` with exp(log_joint - m_i) and returns the row
-    shift m_i, that array and its row sums s_i, so that
-    log sum_k exp(log_joint_ik) = m_i + log s_i. A row without a finite
+    Overwrites ``log_joint`` with exp(log_joint - m_i) and returns the
+    column shift m_i, that array and its column sums s_i, so that
+    log sum_k exp(log_joint_ki) = m_i + log s_i. A column without a finite
     maximum is shifted by 0, as scipy's logsumexp does.
     """
-    shift = log_joint[:, 0].copy()
-    for k in range(1, log_joint.shape[1]):
-        np.maximum(shift, log_joint[:, k], out=shift)
+    shift = log_joint.max(axis=0)
     shift[~np.isfinite(shift)] = 0.0
-    log_joint -= shift[:, None]
+    log_joint -= shift
     np.exp(log_joint, out=log_joint)
-    return shift, log_joint, log_joint @ np.ones(log_joint.shape[1])
+    return shift, log_joint, log_joint.sum(axis=0)
 
 
 def e_step(data: BoundedDataset, params: MoGParams) -> Responsibilities:
-    """Posterior membership probabilities under the current parameters."""
-    _, shifted, row_sums = _shifted_exp(_log_joint(data, params))
-    shifted /= row_sums[:, None]
-    return Responsibilities(shifted)
+    """Posterior membership probabilities under the current parameters.
+
+    The work is done on the (K, N) log joint; the returned gamma is its
+    transpose, an F-ordered (N, K) view with no copy, so ``gamma.T`` in the
+    M-step's GEMMs is C-ordered.
+    """
+    _, shifted, col_sums = _shifted_exp(_log_joint(data, params))
+    shifted /= col_sums
+    return Responsibilities(shifted.T)
 
 
 def log_likelihood(data: BoundedDataset, params: MoGParams) -> float:
     """Total mixture log-likelihood of the dataset (divide by N to report
     the per-datapoint value)."""
-    shift, _, row_sums = _shifted_exp(_log_joint(data, params))
-    return float((np.log(row_sums) + shift).sum())
+    shift, _, col_sums = _shifted_exp(_log_joint(data, params))
+    return float((np.log(col_sums) + shift).sum())
 
 
 def m_step(data: BoundedDataset, resp: Responsibilities,

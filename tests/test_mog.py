@@ -153,11 +153,10 @@ def random_mixture(d, K, rng):
     return BoundedDataset(X), params
 
 
-@pytest.mark.parametrize("K", [1, 3, 10])
-@pytest.mark.parametrize("d", [1, 2, 5, 10])
-def test_e_step_and_log_likelihood_match_scipy_reference(d, K):
-    rng = np.random.default_rng(100 * d + K)
-    data, params = random_mixture(d, K, rng)
+def assert_matches_scipy_reference(data, params):
+    """e_step and log_likelihood agree with the per-component scipy
+    computation within the bounds of ``log_density_tolerance``."""
+    K = params.n_components
     log_joint, dist = reference_log_joint(data.rows, params)
     tol = log_density_tolerance(data.rows, params, dist)
     row_ll = logsumexp(log_joint, axis=1)
@@ -173,6 +172,80 @@ def test_e_step_and_log_likelihood_match_scipy_reference(d, K):
     ll_tol = (gamma * tol).sum() \
         + 4.0 * np.finfo(float).eps * np.log2(data.n) * np.abs(row_ll).sum()
     assert abs(log_likelihood(data, params) - row_ll.sum()) <= ll_tol
+
+
+@pytest.mark.parametrize("K", [1, 3, 10])
+@pytest.mark.parametrize("d", [1, 2, 5, 10])
+def test_e_step_and_log_likelihood_match_scipy_reference(d, K):
+    rng = np.random.default_rng(100 * d + K)
+    assert_matches_scipy_reference(*random_mixture(d, K, rng))
+
+
+# --- component-major layout ---------------------------------------------------
+
+
+@pytest.mark.parametrize("n, d, K", [(1, 1, 1), (1, 3, 4), (40, 1, 4), (40, 3, 1)])
+def test_e_step_and_log_likelihood_match_reference_at_unit_sizes(n, d, K):
+    rng = np.random.default_rng(10 * n + d + K)
+    full, params = random_mixture(d, K, rng)
+    assert_matches_scipy_reference(BoundedDataset(full.rows[rng.permutation(full.n)[:n]]),
+                                   params)
+
+
+def far_component_mixture():
+    """Three components; the last sits so far from the unit ball, with a
+    variance so small, that its density underflows to exactly 0 on every
+    row."""
+    rng = np.random.default_rng(21)
+    data = BoundedDataset(0.5 * _uniform_ball(50, 2, rng))
+    params = mk_params([0.4, 0.4, 0.2], [[-0.2, 0.0], [0.2, 0.1], [30.0, 30.0]],
+                       [np.eye(2) * 0.05, np.eye(2) * 0.02, np.eye(2) * 1e-3])
+    return data, params
+
+
+def test_e_step_and_log_likelihood_match_reference_when_a_column_underflows():
+    data, params = far_component_mixture()
+    gamma = e_step(data, params).gamma
+    np.testing.assert_array_equal(gamma[:, 2], 0.0)
+    assert_matches_scipy_reference(data, params)
+
+
+def test_e_step_gamma_is_a_column_major_view():
+    data, params = far_component_mixture()
+    gamma = e_step(data, params).gamma
+    assert gamma.shape == (data.n, 3)
+    assert gamma.flags.f_contiguous and not gamma.flags.c_contiguous
+
+
+@pytest.mark.parametrize("map_estimate", [False, True])
+def test_m_step_on_column_major_gamma_equals_row_major_copy(map_estimate):
+    rng = np.random.default_rng(5)
+    data, params = random_mixture(3, 4, rng)
+    # every component keeps mass, so the MLE step divides by no zero count
+    params = mk_params(np.full(4, 0.25), params.means, params.covariances)
+    resp = e_step(data, params)
+    copy = Responsibilities(np.ascontiguousarray(resp.gamma))
+    assert copy.gamma.flags.c_contiguous
+    got, want = m_step(data, resp, map_estimate), m_step(data, copy, map_estimate)
+    # as in the pair-products test, scatter minus c m m^T cancels in a
+    # near-zero covariance entry, so that entry is bounded by the largest
+    for field in ("weights", "means", "covariances"):
+        expected = getattr(want, field)
+        np.testing.assert_allclose(getattr(got, field), expected, rtol=1e-12,
+                                   atol=1e-12 * np.abs(expected).max())
+
+
+def test_reassign_degenerate_accepts_column_major_gamma():
+    data, params = far_component_mixture()
+    resp = e_step(data, params)
+    assert resp.gamma.flags.f_contiguous
+    out = _reassign_degenerate(resp, data.n, np.random.default_rng(0))
+    donor = np.flatnonzero(out.gamma[:, 2])
+    assert len(donor) == 1
+    np.testing.assert_array_equal(out.gamma[donor[0]], [0.0, 0.0, 1.0])
+    keep = np.setdiff1d(np.arange(data.n), donor)
+    np.testing.assert_array_equal(out.gamma[keep], resp.gamma[keep])
+    np.testing.assert_array_equal(out.counts[2], 1.0)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -494,3 +567,34 @@ def test_params_invariant_validation():
         mk_params([0.5, 0.5], [[0.0]], [np.array([[1.0]])] * 2)
     with pytest.raises(ValueError, match="symmetric"):
         mk_params([1.0], [[0.0, 0.0]], [np.array([[1.0, 0.5], [0.0, 1.0]])])
+
+
+def three_covariances(last):
+    return np.stack([np.eye(2), np.eye(2), last])
+
+
+@pytest.mark.parametrize("bad, message", [
+    (np.array([[1.0, 0.5], [0.0, 1.0]]), "covariance 2 is not symmetric"),
+    (np.array([[1.0, 0.0], [0.0, 1e-8]]), "covariance 2 has eigenvalue 1.000e-08 below floor"),
+])
+def test_params_validation_names_the_offending_component(bad, message):
+    with pytest.raises(ValueError, match=message):
+        mk_params(np.full(3, 1.0 / 3), np.zeros((3, 2)), three_covariances(bad))
+
+
+def test_params_validation_checks_symmetry_before_eigenvalues():
+    covs = three_covariances(np.array([[1.0, 0.5], [0.0, 1.0]]))
+    covs[0] = np.diag([1.0, 1e-8])
+    with pytest.raises(ValueError, match="covariance 2 is not symmetric"):
+        mk_params(np.full(3, 1.0 / 3), np.zeros((3, 2)), covs)
+
+
+def test_params_validation_keeps_the_relative_slack():
+    # an eigenvalue just under the floor, within 1e-9 of the largest entry
+    scale = 100.0
+    under = np.diag([scale, PSD_FLOOR - 0.5e-9 * scale])
+    assert mk_params(np.full(3, 1.0 / 3), np.zeros((3, 2)),
+                     three_covariances(under)).n_components == 3
+    with pytest.raises(ValueError, match="covariance 2 has eigenvalue"):
+        mk_params(np.full(3, 1.0 / 3), np.zeros((3, 2)),
+                  three_covariances(np.diag([scale, PSD_FLOOR - 2e-9 * scale])))
