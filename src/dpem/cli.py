@@ -290,9 +290,9 @@ def _run_cell(index: int):
     # between cells, so a worker holds at most one fold's at a time
     vars(train).pop("pairs", None)
 
-    n_mech, audited = 0, (0.0, 0.0)
+    n_mech, flagged, audited = 0, 0, (0.0, 0.0)
     if composition is not None:
-        n_mech = len(trace)
+        n_mech, flagged = len(trace), len(trace.flagged())
         spend = compose_trace(trace, composition, delta,
                               max_order=args.max_order)
         audited = (spend.epsilon, spend.delta)
@@ -304,7 +304,7 @@ def _run_cell(index: int):
     return dataio.ExperimentResult(
         model=model, method=method, scenario=args.scenario,
         epsilon=eps, delta=delta, fold=fold, seed=seed,
-        metric=float(metric), n_mechanisms=n_mech,
+        metric=float(metric), n_mechanisms=n_mech, flagged=flagged,
         metric_name="nicv" if model == "kmeans" else "test_loglik_per_point",
         audited_epsilon=audited[0], audited_delta=audited[1],
         wall_time=time.perf_counter() - t0)

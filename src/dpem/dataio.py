@@ -125,6 +125,7 @@ class ExperimentResult:
     metric: float            # test log-likelihood per point, or NICV
     metric_name: str
     n_mechanisms: int
+    flagged: int             # trace records whose sensitivity used a floored count
     audited_epsilon: float   # trace recomposed under `method`
     audited_delta: float
     wall_time: float

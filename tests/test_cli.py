@@ -403,6 +403,22 @@ def test_fit_kmeans_dpem_audit_spends_the_budget(tmp_path):
         assert r["audited_epsilon"] == pytest.approx(0.5, rel=1e-5)
 
 
+def test_fit_kmeans_reports_flagged_records(tmp_path):
+    # at a tiny budget the noised counts floor, and the centroid records
+    # that divided by a floored count are counted in each private row
+    code = run_cli(["fit", "--model", "kmeans", "--synth-n", "300",
+                    "--synth-d", "2", "--synth-k", "3", "--k", "3",
+                    "--iters", "3", "--eps-list", "0.001", "--method", "dpem",
+                    "--seeds", "1", "--seed", "1",
+                    "--out", str(tmp_path / "km")])
+    assert code == 0
+    rows = [json.loads(l) for l in
+            (tmp_path / "km" / "results.jsonl").read_text().strip().split("\n")]
+    flagged = {r["method"]: r["flagged"] for r in rows}
+    assert flagged["baseline"] == 0
+    assert 0 < flagged["dpem"] <= 3 * 3
+
+
 def test_fit_fa_smoke(tmp_path):
     code = run_cli(["fit", "--model", "fa", "--synth-n", "400",
                     "--synth-d", "4", "--synth-k", "1", "--q", "2",

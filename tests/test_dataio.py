@@ -140,7 +140,7 @@ def result(method="zcdp", eps=1.0, metric=0.5, seed=0):
     return ExperimentResult(
         model="mog", method=method, scenario="ggg", epsilon=eps, delta=1e-4,
         fold=0, seed=seed, metric=metric, metric_name="test_loglik_per_point",
-        n_mechanisms=70, audited_epsilon=eps * 0.99, audited_delta=1e-4,
+        n_mechanisms=70, flagged=0, audited_epsilon=eps * 0.99, audited_delta=1e-4,
         wall_time=0.1)
 
 

@@ -13,6 +13,7 @@ from dpem.data import BoundedDataset, preprocess
 from dpem.dataio import synth_mog
 from dpem.errors import DataError
 from dpem.kmeans import (
+    BLOCK,
     Clustering,
     _assign,
     _counts_and_sums,
@@ -69,6 +70,14 @@ def test_nicv_rejects_empty_centers():
         nicv(BoundedDataset(np.zeros((2, 2))), np.zeros((0, 2)))
 
 
+def test_nicv_rejects_centers_of_the_wrong_width_or_not_finite():
+    data = BoundedDataset(np.full((4, 2), 0.1))
+    for centers in (np.zeros((2, 3)), np.zeros((2, 1)),
+                    np.array([[0.0, np.nan]]), np.array([[np.inf, 0.0]])):
+        with pytest.raises(DataError):
+            nicv(data, centers)
+
+
 def nearest_cases():
     rng = np.random.default_rng(31)
     for n, k, d in ((300, 1, 2), (300, 4, 1), (200, 3, 50), (500, 5, 3)):
@@ -81,6 +90,18 @@ def nearest_cases():
     yield X, centers, True
     yield (np.linspace(-1.0, 1.0, 41)[:, None], np.array([[0.5], [-0.5], [0.5]]),
            True)
+    # row counts at the block edges, in both memory layouts
+    for n, k, d, order in ((BLOCK - 1, 3, 2, "C"), (BLOCK, 2, 3, "F"),
+                           (BLOCK + 1, 4, 1, "C"), (2 * BLOCK + 3, 3, 2, "F"),
+                           (BLOCK + 1, 5, 3, "F"), (500, 3, 4, "F")):
+        X = np.asarray(_uniform_ball(n, d, rng), order=order)
+        yield X, _uniform_ball(k, d, rng), False
+    # a tie that straddles a block edge: rows on both sides of it sit on a
+    # duplicated center
+    X, centers = _uniform_ball(2 * BLOCK + 3, 2, rng), _uniform_ball(3, 2, rng)
+    centers[2] = centers[1]
+    X[BLOCK - 7:BLOCK + 7] = centers[1]
+    yield np.asfortranarray(X), centers, True
 
 
 def test_nearest_equals_cube_argmin_exactly():
@@ -95,6 +116,16 @@ def test_nearest_equals_cube_argmin_exactly():
         assert np.array_equal(min_sq, ref_min)
         assert np.array_equal(_assign(X, centers), labels)
         assert nicv(BoundedDataset(X), centers) == ref_min.mean()
+
+
+def test_counts_and_sums_equal_in_both_layouts():
+    rng = np.random.default_rng(8)
+    for n, k, d in ((BLOCK + 1, 4, 3), (300, 2, 5)):
+        X = _uniform_ball(n, d, rng)
+        labels = _assign(X, _uniform_ball(k, d, rng))
+        counts, sums = _counts_and_sums(X, labels, k)
+        counts_f, sums_f = _counts_and_sums(np.asfortranarray(X), labels, k)
+        assert np.array_equal(counts_f, counts) and np.array_equal(sums_f, sums)
 
 
 # --- noise-free limits -----------------------------------------------------------
@@ -164,6 +195,19 @@ def test_dplloyd_zcdp_calibration_beats_linear_split():
     assert zcdp_calibrate_pure(2, PrivacyBudget(eps, 0.5)) > eps / 2
     assert zcdp_calibrate_pure(25, PrivacyBudget(eps, 1e-4)) > eps / 25
     assert zcdp_calibrate_pure(5, PrivacyBudget(eps, 1e-4)) < eps / 5
+
+
+@pytest.mark.parametrize("k, iterations", [(0, 3), (2, 0), (2, -1), (-1, 2)])
+def test_every_variant_rejects_a_bad_k_or_iterations_up_front(k, iterations):
+    data = blobs(n=100)
+    for fit in (lambda: lloyd(data, k, iterations, np.random.default_rng(0)),
+                lambda: dplloyd(data, k, iterations, 0.5, rng=np.random.default_rng(0)),
+                lambda: dplloyd(data, k, iterations, 0.5, composition="zcdp",
+                                delta=1e-4, rng=np.random.default_rng(0)),
+                lambda: dpem_kmeans(data, k, iterations, PrivacyBudget(0.5, 1e-4),
+                                    np.random.default_rng(0))):
+        with pytest.raises(ValueError, match="k and iterations must be >= 1"):
+            fit()
 
 
 def test_dplloyd_rejects_nan_eps():
