@@ -4,16 +4,21 @@ from scipy.linalg import cholesky, solve_triangular
 from scipy.special import logsumexp
 from scipy.stats import norm
 
+from dpem.accountant import PrivacyBudget
 from dpem.data import BoundedDataset, _uniform_ball, preprocess
 from dpem.dataio import synth_mog
-from dpem.dpem_mog import _PrivateRelease
+from dpem.dpem_mog import DpEmConfig, _PrivateRelease, run_dpem_mog
 from dpem.errors import DegenerateComponentError, SingularCovarianceError
 from dpem.mechanisms import psd_project, unpack_triu
 from dpem.mog import (
+    EXP_FAST_MIN,
+    EXP_ZERO_BELOW,
     PSD_FLOOR,
     MoGParams,
     Responsibilities,
+    _log_joint,
     _reassign_degenerate,
+    _shifted_exp,
     e_step,
     fit_em,
     init_params,
@@ -246,6 +251,98 @@ def test_reassign_degenerate_accepts_column_major_gamma():
     keep = np.setdiff1d(np.arange(data.n), donor)
     np.testing.assert_array_equal(out.gamma[keep], resp.gamma[keep])
     np.testing.assert_array_equal(out.counts[2], 1.0)
+
+
+@pytest.mark.parametrize("case", [
+    lambda: random_mixture(3, 4, np.random.default_rng(8)),
+    far_component_mixture,
+])
+def test_e_step_gamma_passes_the_public_checks(case):
+    # e_step skips Responsibilities' checks; its gamma must still pass them
+    data, params = case()
+    Responsibilities(e_step(data, params).gamma)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_e_step_refuses_a_row_without_positive_density():
+    # a variance of 1e-310 makes the Mahalanobis distance of the first row
+    # overflow, so its only component gives it density 0
+    params = MoGParams(np.ones(1), np.zeros((1, 2)), np.eye(2)[None] * 1e-310,
+                       psd_floor=0.0)
+    data = BoundedDataset(np.array([[0.5, 0.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+        e_step(data, params)
+
+
+# --- _shifted_exp's bands -----------------------------------------------------
+
+
+def reference_shifted_exp(log_joint):
+    """The plain form: one exp over the whole shifted matrix."""
+    shift = log_joint.max(axis=0)
+    shift[~np.isfinite(shift)] = 0.0
+    log_joint -= shift
+    np.exp(log_joint, out=log_joint)
+    return shift, log_joint, log_joint.sum(axis=0)
+
+
+def band_matrix():
+    """A (4, N) log joint whose columns each hold a 0 (so most shifts are
+    0 and the values below are exact after the shift) and values in every
+    band: the fast range, [-708.4, EXP_FAST_MIN), subnormal results, both
+    constants, below EXP_ZERO_BELOW, -inf, NaN, then scattered uniform
+    values over [-900, 0] and a column shifted by a finite maximum."""
+    nan, inf = np.nan, np.inf
+    cols = [
+        [0.0, -1.5, -699.99, EXP_FAST_MIN],
+        [0.0, -700.0000001, -707.9, -708.4],
+        [0.0, -709.0, -730.5, -745.13],
+        [0.0, -745.1, -742.0, -745.14],
+        [0.0, -760.0, -799.999, EXP_ZERO_BELOW],
+        [0.0, -800.0001, -1e4, -4e9],
+        [0.0, -inf, -720.0, -3.0],
+        [-inf, -inf, -inf, -inf],
+        [nan, 0.0, -750.0, -1.0],
+        [5.0, 5.0 - 705.0, 5.0 - 730.0, 5.0 - 900.0],
+    ]
+    rng = np.random.default_rng(3)
+    scattered = rng.uniform(-900.0, 0.0, size=(4, 300))
+    scattered[rng.integers(0, 4, size=300), np.arange(300)] = 0.0
+    return np.concatenate([np.array(cols).T, scattered], axis=1)
+
+
+def assert_shifted_exp_equals_reference(log_joint):
+    got = _shifted_exp(log_joint.copy())
+    want = reference_shifted_exp(log_joint.copy())
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b, equal_nan=True)
+
+
+def test_shifted_exp_equals_plain_exp_in_every_band():
+    m = band_matrix()
+    assert ((m >= EXP_ZERO_BELOW) & (m < EXP_FAST_MIN)).sum() > 20
+    assert_shifted_exp_equals_reference(m)
+    assert_shifted_exp_equals_reference(np.ascontiguousarray(m[:1]))  # K = 1
+    for j in range(m.shape[1]):                                       # N = 1
+        assert_shifted_exp_equals_reference(np.ascontiguousarray(m[:, j:j + 1]))
+
+
+def test_e_step_and_log_likelihood_equal_plain_exp_on_a_private_fit():
+    # one ggg iteration at eps = 0.5 floors covariance eigenvalues, so most
+    # of the shifted log joint lies below EXP_FAST_MIN, a few entries in
+    # the band
+    raw, _ = synth_mog(2000, 5, 3, 1.0, seed=0)
+    data = preprocess(raw)
+    cfg = DpEmConfig(components=3, iterations=1, total=PrivacyBudget(0.5, 1e-4),
+                     scenario="ggg", seed=2)
+    params, _ = run_dpem_mog(data, cfg)
+    assert (np.linalg.eigvalsh(params.covariances) < 1.001 * PSD_FLOOR).any()
+    shift, shifted, col_sums = reference_shifted_exp(_log_joint(data, params))
+    lj = _log_joint(data, params) - shift
+    assert (lj < EXP_FAST_MIN).mean() > 0.5
+    assert ((lj >= EXP_ZERO_BELOW) & (lj < EXP_FAST_MIN)).any()
+    assert np.array_equal(e_step(data, params).gamma, (shifted / col_sums).T)
+    assert log_likelihood(data, params) == float((np.log(col_sums) + shift).sum())
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
