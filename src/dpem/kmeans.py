@@ -2,8 +2,11 @@
 
 All three run one Lloyd loop (assign, then count and sum each cluster) and
 differ only in the update that makes the next centers from the counts and
-sums. The private variants' update is a ``mechanisms.Release``, which draws
-the noise, floors the noised counts and records the trace:
+sums. The counts and sums come from one-hot GEMMs of one fixed shape over
+blocks of rows, the last block zero-padded: counts are exact, and sums
+differ from a sequential sum only in the last bits. The private variants'
+update is a ``mechanisms.Release``, which draws the noise, floors the
+noised counts and records the trace:
 
 * ``lloyd``: the noise-free baseline; an empty cluster keeps its center;
 * ``dplloyd``: Laplace noise on per-cluster counts and coordinate sums with
@@ -18,9 +21,10 @@ relation: neighbouring datasets differ by one row, added or removed, inside
 the unit L2 ball. Labels come from the centers of the previous iteration,
 which are already public, so one added or removed row lands in exactly one
 cluster. It moves the count vector by 1 in L1 and one cluster's coordinate
-sums by at most sqrt(d) <= d in L1 (hence DPLloyd's d+1 bound). The k
-centroid releases of one iteration therefore compose in parallel: together
-they cost one release.
+sums by at most sqrt(d) <= d in L1 (hence DPLloyd's d+1 bound), and since
+every GEMM has the same shape, it leaves every other cluster's sums
+unchanged bit for bit. The k centroid releases of one iteration therefore
+compose in parallel: together they cost one release.
 
 Centers are initialized uniformly at random inside the unit ball, which
 costs no privacy budget and reads no data.
@@ -58,8 +62,9 @@ class Clustering:
         object.__setattr__(self, "assignments", a)
 
 
-# rows per block of _nearest, whose three block buffers stay in cache: at
-# n=100k, k=5, d=2, 16384 and 32768 timed best, 8192 and 65536 slower
+# rows per block of _nearest, whose three block buffers stay in cache (at
+# n=100k, k=5, d=2, 16384 and 32768 timed best, 8192 and 65536 slower), and
+# of _counts_and_sums, which pads its last block to this many rows
 BLOCK = 16384
 
 
@@ -105,9 +110,33 @@ def _assign(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
 
 def _counts_and_sums(X: np.ndarray, labels: np.ndarray,
                      k: int) -> tuple[np.ndarray, np.ndarray]:
-    counts = np.bincount(labels, minlength=k).astype(float)
-    sums = np.column_stack([np.bincount(labels, weights=X[:, j], minlength=k)
-                            for j in range(X.shape[1])])
+    """Each cluster's row count and coordinate sums, for labels in [0, k).
+
+    The rows are walked in blocks of ``BLOCK``. Each block's labels are
+    written as a (k, BLOCK) one-hot into a reused buffer; its product with
+    the block's rows adds the sums, and its product with a vector of ones
+    adds the counts. The last, shorter block is zero-padded to ``BLOCK``
+    rows in the one-hot and in the rows, so every product has the same
+    shape and sums in the same order whatever N is: a row appended to X
+    changes its own cluster's sums and no other cluster's bits. Counts are
+    exact; sums may differ from a sequential sum in the last bits.
+    Column-major X is read in place; any other layout is copied to it once
+    per call, so the result does not depend on the layout."""
+    cols = np.asfortranarray(X)
+    n, d = cols.shape
+    onehot, ones, ids = np.empty((k, BLOCK)), np.ones(BLOCK), np.arange(k)[:, None]
+    counts, sums = np.zeros(k), np.zeros((k, d))
+    for start in range(0, n, BLOCK):
+        lab, rows = labels[start:start + BLOCK], cols[start:start + BLOCK]
+        m = len(lab)
+        if m < BLOCK:
+            # only the last block can be shorter
+            onehot[:, m:] = 0.0
+            rows = np.zeros((BLOCK, d), order="F")
+            rows[:m] = cols[start:]
+        np.equal(lab, ids, out=onehot[:, :m], casting="unsafe")
+        sums += onehot @ rows
+        counts += onehot @ ones
     return counts, sums
 
 

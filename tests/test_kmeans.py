@@ -24,7 +24,7 @@ from dpem.kmeans import (
     lloyd,
     nicv,
 )
-from dpem.mechanisms import AccountingTrace, TraceRecord
+from dpem.mechanisms import COUNT_FLOOR, AccountingTrace, TraceRecord
 
 
 def blobs(n=500, k=3, seed=0):
@@ -128,6 +128,28 @@ def test_counts_and_sums_equal_in_both_layouts():
         assert np.array_equal(counts_f, counts) and np.array_equal(sums_f, sums)
 
 
+def test_counts_and_sums_match_a_per_cluster_reference():
+    # reference: per-cluster sequential sums by np.add.at; counts must be
+    # exact, sums may differ in the last bits (bounded relative to the sum
+    # of absolute values, so a cluster whose sum cancels is not misjudged)
+    rng = np.random.default_rng(12)
+    for n, k, d, used in ((1, 3, 2, 1), (BLOCK - 1, 4, 3, 4), (BLOCK, 5, 1, 3),
+                          (BLOCK + 1, 7, 5, 7), (2 * BLOCK + 3, 6, 2, 2),
+                          (500, 4, 8, 3)):
+        X = _uniform_ball(n, d, rng)
+        # clusters used..k-1 stay empty
+        labels = rng.integers(0, used, size=n)
+        counts, sums = _counts_and_sums(X, labels, k)
+        ref_counts, ref_sums, ref_abs = np.zeros(k), np.zeros((k, d)), np.zeros((k, d))
+        np.add.at(ref_counts, labels, 1.0)
+        np.add.at(ref_sums, labels, X)
+        np.add.at(ref_abs, labels, np.abs(X))
+        assert counts.shape == (k,) and sums.shape == (k, d)
+        assert np.array_equal(counts, ref_counts)
+        assert (counts[used:] == 0).all() and (sums[used:] == 0).all()
+        assert (np.abs(sums - ref_sums) <= 1e-13 * ref_abs).all()
+
+
 # --- noise-free limits -----------------------------------------------------------
 
 
@@ -162,6 +184,34 @@ def test_lloyd_empty_clusters_keep_their_centers():
     np.testing.assert_array_equal(out.centers[empty], init[empty])
     np.testing.assert_allclose(out.centers[nearest], point, rtol=1e-12)
     assert (out.assignments == nearest).all()
+
+
+def test_noise_free_step_equals_floored_count_cluster_means():
+    # the tier-1 twin of perfbench's check_lloyd_step, at more than two
+    # blocks of rows: one noise-free step moves each centre to the mean of
+    # the rows its previous centres label, the count floored at COUNT_FLOOR
+    # (lloyd instead keeps an empty cluster's centre)
+    raw, _ = synth_mog(2 * BLOCK + 500, 2, 4, separation=8.0, seed=6)
+    data = preprocess(raw)
+    assert data.n > 2 * BLOCK
+    X, k, iterations = data.rows, 5, 4
+    budget = PrivacyBudget(1.0, 1e-4)
+    fits = {"lloyd": lambda j: lloyd(data, k, j, np.random.default_rng(3)),
+            "dplloyd": lambda j: dplloyd(data, k, j, 1.0, rng=np.random.default_rng(3),
+                                         eps_i=math.inf)[0],
+            "dpem_kmeans": lambda j: dpem_kmeans(data, k, j, budget,
+                                                 np.random.default_rng(3),
+                                                 eps_i=math.inf)[0]}
+    for name, fit in fits.items():
+        before, after = fit(iterations - 1).centers, fit(iterations).centers
+        labels = ((X[:, None, :] - before[None]) ** 2).sum(axis=2).argmin(axis=1)
+        for c in range(k):
+            members = X[labels == c]
+            if name == "lloyd" and len(members) == 0:
+                want = before[c]
+            else:
+                want = members.sum(axis=0) / max(len(members), COUNT_FLOOR)
+            assert np.abs(after[c] - want).max() <= 1e-12, (name, c)
 
 
 def test_lloyd_monotone_nicv():
@@ -305,6 +355,25 @@ def test_add_remove_neighbor_moves_one_cluster():
         moved = np.flatnonzero((sums_p != sums).any(axis=1))
         assert len(moved) == 1
         assert np.abs(sums_p - sums)[moved[0]].sum() <= math.sqrt(d) + 1e-12
+
+
+def test_add_remove_neighbor_moves_one_cluster_at_block_edges():
+    # the same fact at row counts around the count/sum kernel's block edges,
+    # where unpadded GEMMs of n and of n+1 rows can sum in different orders
+    # and move the last bits of clusters the new row does not join
+    rng = np.random.default_rng(2017)
+    for n in (BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK):
+        for d in (1, 2, 5):
+            X = _uniform_ball(n, d, rng)
+            row = _uniform_ball(1, d, rng)
+            Xp = np.vstack([X, row])
+            for k in (1, 3, 7):
+                centers = _uniform_ball(k, d, rng)
+                counts, sums = _counts_and_sums(X, _assign(X, centers), k)
+                counts_p, sums_p = _counts_and_sums(Xp, _assign(Xp, centers), k)
+                assert np.abs(counts_p - counts).sum() == 1.0
+                moved = np.flatnonzero((sums_p != sums).any(axis=1))
+                assert list(moved) == list(_assign(row, centers)), (n, d, k)
 
 
 def test_dpem_kmeans_calibration_equals_audit():
