@@ -20,6 +20,7 @@ import multiprocessing
 import os
 import sys
 import time
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -74,10 +75,27 @@ AUDIT_SLACK = 1e-9
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
-# The running sweep as (parsed flags, (train, test) pairs indexed by fold,
-# ordered (method, eps, fold, seed) cells): set once per worker by
-# ``_init_worker``, so that a task is only its cell index.
+# The running sweep as (parsed flags, its ``_BoundedFolds``, ordered
+# (method, eps, fold, seed) cells): set once per worker by ``_init_worker``,
+# so that a task is only its cell index.
 _SWEEP: tuple | None = None
+
+
+class _BoundedFolds(Sequence):
+    """The first ``count`` folds of a ``dataio.cv_split`` sequence, each read
+    as a (train, test) pair of datasets built on the spot. Their rows are a
+    subset of the validated dataset that was split, so they are wrapped
+    without being checked again."""
+
+    def __init__(self, folds: dataio.CrossValidationFolds, count: int):
+        self._folds, self._count = folds, count
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, fold: int) -> tuple[BoundedDataset, BoundedDataset]:
+        train, test = self._folds[range(self._count)[fold]]
+        return BoundedDataset._row_subset(train), BoundedDataset._row_subset(test)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -245,11 +263,13 @@ def _worker_pool(workers: int, sweep: tuple):
 
 def _run_cell(index: int):
     """Cell ``index`` of the sweep ``_init_worker`` stored in this process:
-    its (method, epsilon, fold, seed), split, settings and RNG seed."""
+    its (method, epsilon, fold, seed), split, settings and RNG seed. The
+    fold's datasets, and the pair products of its training rows, live only
+    as long as the cell."""
     t0 = time.perf_counter()
-    args, splits, cells = _SWEEP
+    args, folds, cells = _SWEEP
     method, eps, fold, seed = cells[index]
-    train, test = splits[fold]
+    train, test = folds[fold]
     model, delta = args.model, args.delta
     cell_seed = int(np.random.SeedSequence((args.seed, index)).generate_state(1)[0])
     # the composition a private cell is calibrated and audited under
@@ -286,9 +306,6 @@ def _run_cell(index: int):
             clustering, trace = dplloyd(train, args.k, args.iters, eps,
                                         composition=composition, delta=delta, rng=rng)
         metric = nicv(test, clustering.centers)
-    # a sweep cycles through its folds: keep no fold's pair products
-    # between cells, so a worker holds at most one fold's at a time
-    vars(train).pop("pairs", None)
 
     n_mech, flagged, audited = 0, 0, (0.0, 0.0)
     if composition is not None:
@@ -355,14 +372,15 @@ def cmd_fit(args) -> int:
               file=sys.stderr)
         return EXIT_BUDGET
 
-    # --folds 1 is the first of ten folds: a single 90/10 split
-    splits = dataio.cv_split(bounded.rows, args.folds if args.folds > 1 else 10,
-                             seed=args.seed)[:args.folds]
-    splits = [(BoundedDataset(train), BoundedDataset(test)) for train, test in splits]
+    # --folds 1 is the first of ten folds: a single 90/10 split. The folds
+    # hold the only copy of the rows that the parent and each worker keep.
+    folds = _BoundedFolds(dataio.cv_split(bounded.rows, args.folds if args.folds > 1 else 10,
+                                          seed=args.seed), args.folds)
+    del bounded
     cells = [(method, eps, fold, seed) for method in [*methods, "baseline"]
              for eps in (eps_list if method != "baseline" else [math.inf])
-             for fold in range(len(splits)) for seed in range(args.seeds)]
-    sweep = (args, splits, cells)
+             for fold in range(len(folds)) for seed in range(args.seeds)]
+    sweep = (args, folds, cells)
 
     workers = min(args.jobs, len(cells))
     if workers > 1:

@@ -49,6 +49,16 @@ class BoundedDataset:
             )
         object.__setattr__(self, "rows", rows)
 
+    @classmethod
+    def _row_subset(cls, rows: np.ndarray) -> "BoundedDataset":
+        """Wrap float rows taken from an already validated dataset, without
+        the finite and norm passes: the bound holds row by row, so any
+        subset of bounded rows is bounded."""
+        data = object.__new__(cls)
+        object.__setattr__(data, "rows", rows)
+        object.__setattr__(data, "scale", 1.0)
+        return data
+
     @property
     def n(self) -> int:
         return self.rows.shape[0]

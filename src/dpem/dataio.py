@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import csv
 import json
+from array import array
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
@@ -18,10 +20,11 @@ def load_csv(path: str | Path, has_header: bool = False) -> np.ndarray:
     """Read a rectangular numeric CSV into an N x d matrix.
 
     Ragged rows and non-numeric cells are rejected with their 1-based line
-    number.
+    number. Each row is parsed straight into one flat float64 buffer, which
+    the returned matrix views: no Python float outlives its row.
     """
     path = Path(path)
-    rows: list[list[float]] = []
+    values = array("d")
     width: Optional[int] = None
     try:
         handle = path.open(newline="")
@@ -42,12 +45,12 @@ def load_csv(path: str | Path, has_header: bool = False) -> np.ndarray:
                     f"({len(row)} cells, expected {width})"
                 )
             try:
-                rows.append([float(cell) for cell in row])
+                values.extend(map(float, row))
             except ValueError:
                 raise DataError(f"{path}: non-numeric cell at line {lineno}")
-    if not rows:
+    if not values:
         raise DataError(f"{path}: no data rows")
-    return np.array(rows, dtype=float)
+    return np.frombuffer(values, dtype=float).reshape(-1, width)
 
 
 def write_csv(path: str | Path, matrix: np.ndarray) -> None:
@@ -91,9 +94,46 @@ def synth_mog(n: int, d: int, k: int, separation: float,
     return raw, true
 
 
+class CrossValidationFolds(Sequence):
+    """The (train, test) pairs of :func:`cv_split`, each built when read
+    from one read-only permuted copy of the data."""
+
+    def __init__(self, permuted: np.ndarray, bounds: np.ndarray):
+        self._rows = permuted
+        self._bounds = bounds
+
+    def __len__(self) -> int:
+        return len(self._bounds) - 1
+
+    def __getitem__(self, fold):
+        if isinstance(fold, slice):
+            return [self[f] for f in range(len(self))[fold]]
+        fold = range(len(self))[fold]  # negative indices; IndexError past the end
+        rows, lo, hi = self._rows, self._bounds[fold], self._bounds[fold + 1]
+        if lo == 0:
+            train = rows[hi:]
+        elif hi == len(rows):
+            train = rows[:lo]
+        else:
+            train = np.concatenate([rows[:lo], rows[hi:]])
+        test = rows[lo:hi]
+        for part in (train, test):
+            # a pickled copy unpickles writeable: each part is made read-only
+            part.flags.writeable = False
+        return train, test
+
+
 def cv_split(data: np.ndarray, folds: int,
-             seed: int | None = None) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Disjoint test folds covering the data; 90/10 splits at folds=10."""
+             seed: int | None = None) -> CrossValidationFolds:
+    """Disjoint test folds covering the data; 90/10 splits at folds=10.
+
+    The folds are views of one permuted copy of the data, made once; each
+    (train, test) pair is built when it is read, and every array in it is
+    read-only. Every test fold, and the training rows of the first and the
+    last fold, are slices of that copy. A middle fold's training rows are
+    the two slices around its test fold, copied into one new array on each
+    read. A slice of the returned sequence is a list of pairs.
+    """
     data = np.asarray(data)
     n = data.shape[0]
     if folds < 2:
@@ -101,14 +141,15 @@ def cv_split(data: np.ndarray, folds: int,
     if n < folds:
         raise DataError(f"cannot split {n} rows into {folds} folds")
     rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
-    splits = []
-    bounds = np.linspace(0, n, folds + 1).astype(int)
-    for f in range(folds):
-        test_idx = perm[bounds[f]:bounds[f + 1]]
-        train_idx = np.concatenate([perm[:bounds[f]], perm[bounds[f + 1]:]])
-        splits.append((data[train_idx], data[test_idx]))
-    return splits
+    # a C-ordered copy whose rows are swapped in place as opaque records:
+    # the draws, and so the order, of data[rng.permutation(n)], without
+    # its index array
+    permuted = np.array(data, order="C")
+    if permuted.size:
+        rows = permuted.reshape(n, -1)
+        rng.shuffle(rows.view(np.dtype((np.void, rows.strides[0])))[:, 0])
+    permuted.flags.writeable = False
+    return CrossValidationFolds(permuted, np.linspace(0, n, folds + 1).astype(int))
 
 
 @dataclass

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -311,6 +312,31 @@ def test_fit_tasks_carry_no_arrays(tmp_path, monkeypatch):
     assert all(type(task) is int for task in tasks)
     assert sorted(tasks) == list(range(12))
     assert cli._SWEEP is None
+
+
+def fit_peak_bytes(out_dir, folds):
+    """Peak bytes tracemalloc sees in one in-process --jobs 1 mixture sweep
+    over 20000 x 5 synthetic rows."""
+    flags = ["fit", "--model", "mog", "--synth-n", "20000", "--synth-d", "5",
+             "--iters", "2", "--eps-list", "1", "--method", "zcdp", "--seed", "3",
+             "--folds", str(folds), "--jobs", "1", "--out", str(out_dir)]
+    tracemalloc.start()
+    try:
+        assert run_cli(flags) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_fit_memory_does_not_grow_with_folds(tmp_path):
+    # --folds 1 and --folds 10 both train every cell on 90% of the rows, so
+    # their peaks differ by what the sweep keeps of its folds: one copy of
+    # the rows either way, plus a middle fold's training rows while it runs
+    data_bytes = 20000 * 5 * 8
+    fit_peak_bytes(tmp_path / "warm", 1)  # anything imported on first use
+    one = fit_peak_bytes(tmp_path / "one", 1)
+    ten = fit_peak_bytes(tmp_path / "ten", 10)
+    assert ten - one <= 2 * data_bytes
 
 
 def test_worker_pool_pins_unset_thread_variables(monkeypatch):

@@ -1,4 +1,7 @@
 import json
+import pickle
+import tracemalloc
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -66,6 +69,26 @@ def test_csv_round_trip_bit_exact(tmp_path_factory, matrix):
     np.testing.assert_array_equal(back, matrix)
 
 
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the peak bytes that tracemalloc saw it allocate."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_load_csv_peak_stays_below_three_matrices(tmp_path):
+    matrix = np.random.default_rng(0).normal(size=(20_000, 5))
+    p = tmp_path / "m.csv"
+    write_csv(p, matrix)
+    back, peak = traced_peak(load_csv, p)
+    np.testing.assert_array_equal(back, matrix)
+    assert back.shape == matrix.shape
+    assert peak < 3 * back.nbytes
+
+
 # --- synth_mog --------------------------------------------------------------
 
 
@@ -131,6 +154,92 @@ def test_cv_split_deterministic():
 def test_cv_split_rejects_small_n():
     with pytest.raises(DataError):
         cv_split(np.zeros((3, 2)), 5)
+
+
+def eager_cv_split(data, folds, seed):
+    """Every (train, test) pair built up front by index arrays: the
+    reference that each fold must equal bit for bit."""
+    n = data.shape[0]
+    perm = np.random.default_rng(seed).permutation(n)
+    bounds = np.linspace(0, n, folds + 1).astype(int)
+    splits = []
+    for f in range(folds):
+        test_idx = perm[bounds[f]:bounds[f + 1]]
+        train_idx = np.concatenate([perm[:bounds[f]], perm[bounds[f + 1]:]])
+        splits.append((data[train_idx], data[test_idx]))
+    return splits
+
+
+@pytest.mark.parametrize("n", [17, 100, 1001])
+@pytest.mark.parametrize("folds", [2, 4, 10])
+def test_cv_split_folds_equal_an_eager_split(n, folds):
+    data = np.random.default_rng(n).normal(size=(n, 3))
+    for seed in (0, 1, 9, 2 ** 40):
+        got, want = cv_split(data, folds, seed=seed), eager_cv_split(data, folds, seed)
+        assert len(got) == len(want) == folds
+        for pair, want_pair in zip(got, want):
+            for part, want_part in zip(pair, want_pair):
+                assert part.shape == want_part.shape and part.dtype == want_part.dtype
+                assert part.tobytes() == want_part.tobytes()
+
+
+def same_pair(a, b):
+    return all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+def test_cv_split_is_a_sequence_of_pairs():
+    data = np.arange(60.0).reshape(20, 3)
+    splits = cv_split(data, 4, seed=3)
+    assert isinstance(splits, Sequence)
+    assert len(splits) == 4
+    listed = list(splits)
+    assert len(listed) == 4
+    assert all(same_pair(listed[f], splits[f]) for f in range(4))
+    assert same_pair(splits[-1], splits[3]) and same_pair(splits[-4], splits[0])
+    for key in (slice(1, 3), slice(None, None, -1), slice(5, None)):
+        part = splits[key]
+        assert type(part) is list
+        want = [listed[f] for f in range(4)[key]]
+        assert len(part) == len(want)
+        assert all(same_pair(a, b) for a, b in zip(part, want))
+    for bad in (4, -5):
+        with pytest.raises(IndexError):
+            splits[bad]
+
+
+def test_cv_split_folds_are_read_only_views_of_one_copy():
+    data = np.random.default_rng(0).normal(size=(50, 3))
+    splits = cv_split(data, 5, seed=2)
+    buffer = splits[0][1].base
+    assert buffer.shape == data.shape and not buffer.flags.writeable
+    assert not np.shares_memory(buffer, data)
+    views = [splits[0][0], splits[-1][0], *(test for _, test in splits)]
+    for view in views:
+        assert view.base is buffer and np.shares_memory(view, buffer)
+    middle_train = splits[2][0]
+    assert not np.shares_memory(middle_train, buffer)
+    for part in [*views, middle_train]:
+        assert not part.flags.writeable
+        with pytest.raises(ValueError):
+            part[0, 0] = 1.0
+
+
+def test_cv_split_unpickles_to_the_same_read_only_folds():
+    data = np.random.default_rng(1).normal(size=(40, 2))
+    splits = cv_split(data, 4, seed=5)
+    back = pickle.loads(pickle.dumps(splits))
+    assert len(back) == len(splits)
+    for pair, want in zip(back, splits):
+        assert same_pair(pair, want)
+        assert not any(part.flags.writeable for part in pair)
+
+
+def test_cv_split_and_its_first_fold_allocate_about_one_copy():
+    X = np.random.default_rng(0).normal(size=(20_000, 5))
+    cv_split(X, 10, seed=1)[0]  # anything imported on first use, outside the trace
+    (train, test), peak = traced_peak(lambda: cv_split(X, 10, seed=4)[0])
+    assert train.shape == (18_000, 5) and test.shape == (2_000, 5)
+    assert peak <= 1.2 * X.nbytes
 
 
 # --- results ---------------------------------------------------------------------
