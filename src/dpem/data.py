@@ -50,13 +50,15 @@ class BoundedDataset:
         object.__setattr__(self, "rows", rows)
 
     @classmethod
-    def _row_subset(cls, rows: np.ndarray) -> "BoundedDataset":
-        """Wrap float rows taken from an already validated dataset, without
-        the finite and norm passes: the bound holds row by row, so any
-        subset of bounded rows is bounded."""
+    def _prechecked(cls, rows: np.ndarray, scale: float = 1.0) -> "BoundedDataset":
+        """Wrap a 2-d float matrix whose finite and norm passes have already
+        run, without running them again: the rows ``preprocess`` has just
+        checked and scaled, or rows taken from an already validated dataset
+        (the bound holds row by row, so any subset of bounded rows is
+        bounded)."""
         data = object.__new__(cls)
         object.__setattr__(data, "rows", rows)
-        object.__setattr__(data, "scale", 1.0)
+        object.__setattr__(data, "scale", scale)
         return data
 
     @property
@@ -106,11 +108,14 @@ def preprocess(raw: np.ndarray) -> BoundedDataset:
         raw = raw.reshape(1, -1)
     if raw.ndim != 2 or raw.shape[0] < 1:
         raise DataError(f"expected a non-empty 2-d matrix, got shape {raw.shape}")
+    if raw.shape[1] < 1:
+        raise DataError(f"need at least one row and one column, got {raw.shape}")
     bad = ~np.isfinite(raw)
     if bad.any():
         row = int(np.nonzero(bad.any(axis=1))[0][0])
         raise DataError(f"non-finite entry in row {row}")
+    # the passes above are BoundedDataset's own, so the result skips them
     max_norm = float(np.linalg.norm(raw, axis=1).max())
     if max_norm > 1.0 + NORM_SLACK:
-        return BoundedDataset(raw / max_norm, scale=max_norm)
-    return BoundedDataset(raw.copy(), scale=1.0)
+        return BoundedDataset._prechecked(raw / max_norm, scale=max_norm)
+    return BoundedDataset._prechecked(raw.copy())

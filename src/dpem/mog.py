@@ -17,6 +17,11 @@ returns exactly 0.0 for everything below -745.14. ``_shifted_exp`` clamps
 those entries, exponentiates the whole matrix in one contiguous pass and
 zeroes them afterwards, so the result is bit for bit that of a plain
 ``exp``.
+
+The M-step's sums over rows, ``gamma.T @ X`` and ``gamma.T @ pairs``, are
+taken over consecutive row blocks (``_row_block_product``): OpenBLAS's
+(K x B)(B x w) product runs 4-5x slower per row once K w B passes about
+10^6, so each block holds at most ``M_STEP_BLOCK_MADDS`` multiply-adds.
 """
 from __future__ import annotations
 
@@ -49,6 +54,11 @@ S0_SCALE = 0.1
 # the speed.
 EXP_FAST_MIN = -700.0
 EXP_ZERO_BELOW = -800.0
+
+# The most multiply-adds, K x width x rows, of one row block of an M-step
+# product: OpenBLAS stays on its fast path up to about 6e5 and is 4-5x
+# slower per row from about 1.1e6 (one thread, K in {3, 10}, width 5 and 15).
+M_STEP_BLOCK_MADDS = 2 ** 19
 
 
 @dataclass(frozen=True)
@@ -89,6 +99,20 @@ class MoGParams:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", mu)
         object.__setattr__(self, "covariances", cov)
+
+    @classmethod
+    def _projected(cls, weights: np.ndarray, means: np.ndarray,
+                   covariances: np.ndarray) -> "MoGParams":
+        """Wrap what ``m_step`` built: weights on the simplex and exactly
+        symmetric covariances that ``psd_project`` has just floored, without
+        the symmetry and eigenvalue passes of the public checks (the suite
+        checks that its output passes them)."""
+        params = object.__new__(cls)
+        object.__setattr__(params, "weights", weights)
+        object.__setattr__(params, "means", means)
+        object.__setattr__(params, "covariances", covariances)
+        object.__setattr__(params, "psd_floor", PSD_FLOOR)
+        return params
 
     @property
     def n_components(self) -> int:
@@ -238,6 +262,21 @@ def log_likelihood(data: BoundedDataset, params: MoGParams) -> float:
     return float((np.log(col_sums) + shift).sum())
 
 
+def _row_block_product(gamma: np.ndarray, operand: np.ndarray) -> np.ndarray:
+    """``gamma.T @ operand`` for an (N, K) gamma and an (N, w) operand, as
+    the sum of the products over consecutive blocks of rows, each of at
+    most ``M_STEP_BLOCK_MADDS`` multiply-adds, added in row order. Rows
+    that fit in one block give the single product bit for bit; otherwise
+    the sum is within rounding of it. The blocks are views: neither
+    operand is copied, whatever its order."""
+    n, k = gamma.shape
+    step = max(1, M_STEP_BLOCK_MADDS // (k * operand.shape[1]))
+    out = gamma[:step].T @ operand[:step]
+    for start in range(step, n, step):
+        out += gamma[start:start + step].T @ operand[start:start + step]
+    return out
+
+
 def m_step(data: BoundedDataset, resp: Responsibilities,
            map_estimate: bool = False, release=None) -> MoGParams:
     """The maximum-likelihood update or, with ``map_estimate``, the posterior
@@ -245,14 +284,17 @@ def m_step(data: BoundedDataset, resp: Responsibilities,
     then falls back to the prior instead of failing.
 
     The counts that divide come from the weights, and each covariance is
-    built from its mean. The means come from one GEMM ``gamma.T @ X``; all
-    K scatters sum_i gamma_ik x_i x_i^T from one GEMM ``gamma.T @
-    data.pairs``, unpacked from the ``mechanisms.triu_indices`` layout into
-    exactly symmetric matrices. A ``release`` step (private EM) gets each
-    statistic in draw order: ``weights(pi)``, ``counts(counts)``, then
-    ``mean(k, mean, denom)`` for k = 1..K and ``covariance(k, cov, denom)``
-    for k = 1..K, with ``denom`` the count that divides; it projects the
-    covariances itself.
+    built from its mean. The K weighted sums come from ``gamma.T @ X`` and
+    all K scatters sum_i gamma_ik x_i x_i^T from ``gamma.T @ data.pairs``,
+    unpacked from the ``mechanisms.triu_indices`` layout into exactly
+    symmetric matrices. Each product is one GEMM per row block of
+    ``_row_block_product``, so data that fit in one block get one GEMM.
+    A ``release`` step (private EM) gets each statistic in draw order:
+    ``weights(pi)``, ``counts(counts)``, then ``mean(k, mean, denom)`` for
+    k = 1..K and ``covariance(k, cov, denom)`` for k = 1..K, with ``denom``
+    the count that divides; it projects the covariances itself. Every
+    covariance leaves through ``psd_project``, so the result is returned
+    without the public checks' symmetry and eigenvalue passes.
     """
     X = data.rows
     n, d = X.shape
@@ -267,12 +309,12 @@ def m_step(data: BoundedDataset, resp: Responsibilities,
         weights = weights / weights.sum()
     counts = n * pi if release is None else release.counts(n * pi)
     denom = counts + KAPPA0 if map_estimate else counts
-    means = (resp.gamma.T @ X) / denom[:, None]  # weighted sums over denom
+    means = _row_block_product(resp.gamma, X) / denom[:, None]  # sums over denom
     if release is not None:
         for k in range(K):
             means[k] = release.mean(k, means[k], denom[k])
     # scatters minus the weighted-sum outer products, rebuilt from the means
-    scatters = unpack_triu(resp.gamma.T @ data.pairs, d)
+    scatters = unpack_triu(_row_block_product(resp.gamma, data.pairs), d)
     outer = means[:, :, None] * means[:, None, :]
     if map_estimate:
         cov_denom = counts + (d + 2.0) + d + 2.0  # nu0 = d + 2
@@ -286,7 +328,7 @@ def m_step(data: BoundedDataset, resp: Responsibilities,
             covs[k] = psd_project(covs[k], PSD_FLOOR)
         else:
             covs[k] = release.covariance(k, covs[k], cov_denom[k])
-    return MoGParams(weights, means, covs)
+    return MoGParams._projected(weights, means, covs)
 
 
 def m_step_mle(data: BoundedDataset, resp: Responsibilities) -> MoGParams:

@@ -1,8 +1,11 @@
 import json
 import os
+import pickle
 import subprocess
 import sys
+import time
 import tracemalloc
+from multiprocessing import shared_memory
 from pathlib import Path
 
 import numpy as np
@@ -351,6 +354,87 @@ def test_worker_pool_pins_unset_thread_variables(monkeypatch):
     assert seen == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
                     "MKL_NUM_THREADS": "3"}
     assert dict(os.environ) == before
+
+
+def record_pool_initargs(monkeypatch):
+    """The ``initargs`` of every pool ``dpem fit`` starts, in start order."""
+    seen = []
+    executor = cli.ProcessPoolExecutor
+
+    def recording(*args, **kwargs):
+        seen.append(kwargs["initargs"])
+        return executor(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", recording)
+    return seen
+
+
+def assert_block_unlinked(name):
+    with pytest.raises(FileNotFoundError):
+        shared_memory.SharedMemory(name=name)
+
+
+def test_fit_workers_get_the_sweep_through_one_shared_block(tmp_path, monkeypatch):
+    # spawning a worker writes only the block's name and size to its pipe,
+    # however many rows the sweep holds; the block is gone afterwards
+    seen = record_pool_initargs(monkeypatch)
+    assert run_cli(["fit", "--model", "mog", "--synth-n", "100000", "--synth-d", "5",
+                    "--iters", "2", "--eps-list", "1", "--method", "zcdp",
+                    "--jobs", "2", "--out", str(tmp_path / "par")]) == 0
+    assert len(seen) == 1
+    initargs = seen[0]
+    assert not any(isinstance(arg, np.ndarray) for arg in initargs)
+    assert len(pickle.dumps(initargs)) < 4096
+    name, size = initargs
+    assert size > 100_000 * 5 * 8  # the rows are in the block
+    assert_block_unlinked(name)
+
+
+def test_fit_unlinks_the_shared_block_when_a_worker_fails(tmp_path, monkeypatch, capsys):
+    # as in test_fit_cell_unattainable_budget_exits_3: a worker's cell raises
+    seen = record_pool_initargs(monkeypatch)
+    assert run_cli(["fit", "--model", "mog", "--synth-n", "300", "--iters", "2",
+                    "--eps-list", "0.1,0.5", "--method", "ma", "--max-order", "2",
+                    "--jobs", "2", "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err.startswith("unattainable budget:")
+    assert len(seen) == 1
+    assert_block_unlinked(seen[0][0])
+
+
+KILLED_POOL = """
+import os, time
+from dpem import cli
+executor = cli.ProcessPoolExecutor
+def recording(*args, **kwargs):
+    print(kwargs["initargs"][0], flush=True)
+    return executor(*args, **kwargs)
+cli.ProcessPoolExecutor = recording
+with cli._worker_pool(1, []) as pool:
+    pool.submit(os.getpid).result(timeout=120)
+    print("ready", flush=True)
+    time.sleep(120)
+"""
+
+
+@pytest.mark.skipif(not Path("/dev/shm").is_dir(), reason="POSIX shared memory in /dev/shm")
+def test_killed_pool_leaves_no_shared_block():
+    # a worker ends with its parent, so the resource tracker can remove the
+    # block of a CLI that was killed before its pool ended
+    env = dict(os.environ)
+    src = str(Path(dpem.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    with subprocess.Popen([sys.executable, "-c", KILLED_POOL], env=env,
+                          stdout=subprocess.PIPE, text=True) as proc:
+        try:
+            block = Path("/dev/shm") / proc.stdout.readline().strip()
+            assert proc.stdout.readline() == "ready\n"
+            assert block.exists()
+        finally:
+            proc.kill()
+    deadline = time.monotonic() + 30
+    while block.exists() and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not block.exists()
 
 
 def test_fit_parallel_leaves_the_environment_unchanged(tmp_path, monkeypatch):

@@ -35,6 +35,41 @@ def test_preprocess_rejects_non_finite_with_row_index():
         preprocess(raw)
 
 
+@pytest.mark.parametrize("raw", [np.array([[3.0, 4.0], [0.0, 1.0]]),
+                                 np.array([[0.5, 0.5], [0.1, -0.2]])])
+def test_preprocess_computes_row_norms_once(raw, monkeypatch):
+    # preprocess runs the finite and norm passes itself; the dataset it
+    # returns must not run them again
+    calls = []
+    norm = np.linalg.norm
+
+    def counting_norm(*args, **kwargs):
+        calls.append(args)
+        return norm(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counting_norm)
+    out = preprocess(raw)
+    assert len(calls) == 1
+    assert out.rows is not raw and out.rows.dtype == np.float64
+    monkeypatch.setattr(np.linalg, "norm", norm)
+    checked = BoundedDataset(out.rows, scale=out.scale)
+    np.testing.assert_array_equal(checked.rows, out.rows)
+    assert checked.scale == out.scale
+
+
+@pytest.mark.parametrize("raw, message", [
+    (np.zeros((0, 3)), "expected a non-empty 2-d matrix, got shape (0, 3)"),
+    (np.zeros((4, 0)), "need at least one row and one column, got (4, 0)"),
+    (np.zeros(0), "need at least one row and one column, got (1, 0)"),
+    (np.zeros((2, 2, 2)), "expected a non-empty 2-d matrix, got shape (2, 2, 2)"),
+    (np.array([[0.0, 1.0], [0.0, np.inf]]), "non-finite entry in row 1"),
+])
+def test_preprocess_keeps_its_error_messages(raw, message):
+    with pytest.raises(DataError) as err:
+        preprocess(raw)
+    assert str(err.value) == message
+
+
 def test_bounded_dataset_rejects_oversized_rows():
     with pytest.raises(DataError, match="norm"):
         BoundedDataset(np.array([[1.2, 0.0]]))

@@ -4,7 +4,7 @@ from scipy.linalg import cholesky, solve_triangular
 from scipy.special import logsumexp
 from scipy.stats import norm
 
-from dpem.accountant import PrivacyBudget
+from dpem.accountant import PrivacyBudget, calibrate
 from dpem.data import BoundedDataset, _uniform_ball, preprocess
 from dpem.dataio import synth_mog
 from dpem.dpem_mog import DpEmConfig, _PrivateRelease, run_dpem_mog
@@ -13,11 +13,13 @@ from dpem.mechanisms import psd_project, unpack_triu
 from dpem.mog import (
     EXP_FAST_MIN,
     EXP_ZERO_BELOW,
+    M_STEP_BLOCK_MADDS,
     PSD_FLOOR,
     MoGParams,
     Responsibilities,
     _log_joint,
     _reassign_degenerate,
+    _row_block_product,
     _shifted_exp,
     e_step,
     fit_em,
@@ -506,6 +508,63 @@ def test_m_step_pair_products_match_per_component_scatters(d, K, estimator, priv
     assert np.array_equal(got.covariances, got.covariances.transpose(0, 2, 1))
     if private:
         assert got_release.trace.records == want_release.trace.records
+
+
+@pytest.mark.parametrize("K", [1, 3, 10])
+@pytest.mark.parametrize("width", ["d", "pairs"])
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("rows", ["1", "step-1", "step", "step+1", "2step+3"])
+def test_row_block_product_matches_one_product(K, width, order, rows):
+    d = 5
+    w = d if width == "d" else d * (d + 1) // 2
+    step = M_STEP_BLOCK_MADDS // (K * w)
+    n = {"1": 1, "step-1": step - 1, "step": step, "step+1": step + 1,
+         "2step+3": 2 * step + 3}[rows]
+    rng = np.random.default_rng(K * 1000 + w + n)
+    data = BoundedDataset(0.6 * _uniform_ball(n, d, rng))
+    # the operands m_step passes: C-ordered rows and column-major pairs
+    operand = data.rows if width == "d" else data.pairs
+    gamma = np.asarray(rng.dirichlet(np.ones(K), size=n), order=order)
+    got = _row_block_product(gamma, operand)
+    want = gamma.T @ operand
+    assert got.shape == (K, w)
+    if n <= step:
+        np.testing.assert_array_equal(got, want)
+    else:
+        scale = np.abs(gamma).T @ np.abs(operand)
+        assert (np.abs(got - want) <= 1e-13 * scale).all()
+
+
+@pytest.mark.parametrize("n", [2000, 40_000])  # one block and two pair blocks
+@pytest.mark.parametrize("estimator", ["mle", "map"])
+@pytest.mark.parametrize("release", [None, ("ggg", 1.0), ("llg", 1.0),
+                                     ("ggg", 0.1), ("llg", 0.1)])
+def test_m_step_output_passes_the_public_checks(n, estimator, release):
+    # m_step skips MoGParams' symmetry and eigenvalue passes; every step of
+    # a fit, plain or private, must still pass them. At eps 0.1 the noise
+    # clamps covariances onto the PSD floor.
+    data = preprocess(synth_mog(n, 3, 3, 2.0, seed=7)[0])
+    J, K = 4, 3
+    rng = np.random.default_rng(n)
+    step_release = None
+    if release is not None:
+        scenario, eps = release
+        cfg = DpEmConfig(components=K, iterations=J, total=PrivacyBudget(eps, 1e-4),
+                         scenario=scenario, estimator=estimator)
+        step_release = _PrivateRelease(scenario, calibrate(cfg.plan(), cfg.total),
+                                       cfg.delta_i, rng, data.n, data.d)
+    params = init_params(data, K, rng)
+    smallest = np.inf
+    for _ in range(J):
+        resp = _reassign_degenerate(e_step(data, params), data.n, rng)
+        params = m_step(data, resp, estimator == "map", step_release)
+        checked = MoGParams(params.weights, params.means, params.covariances)
+        for field in ("weights", "means", "covariances"):
+            np.testing.assert_array_equal(getattr(checked, field), getattr(params, field))
+        assert params.psd_floor == checked.psd_floor
+        smallest = min(smallest, np.linalg.eigvalsh(params.covariances).min())
+    if release is not None and release[1] == 0.1:
+        assert smallest <= PSD_FLOOR * (1.0 + 1e-6)
 
 
 # --- m_step, MAP ---------------------------------------------------------------
