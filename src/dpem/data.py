@@ -73,7 +73,8 @@ class BoundedDataset:
     def pairs(self) -> np.ndarray:
         """Read-only (N, d(d+1)/2) products x_a x_b of every row, a <= b in
         ``mechanisms.triu_indices`` order, so that ``gamma.T @ pairs`` packs
-        all K weighted scatters in one GEMM. Built on first use, one column
+        all K weighted scatters in one product, summed over row blocks
+        (``mog._row_block_product``). Built on first use, one column
         product per pair, stored column-major (the faster GEMM operand);
         never pickled, so a process pool ships only the rows."""
         a, b = triu_indices(self.d)

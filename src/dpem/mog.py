@@ -5,9 +5,12 @@ computed from the responsibilities. Without a release step it is plain EM
 (``fit_em``, ``m_step_mle``); private EM (``dpem_mog``)
 differs only in the release step it passes, which adds calibrated noise.
 The E-step and likelihood work in the log domain where stability needs it,
-component-major: every intermediate is a (K, N) matrix of K contiguous rows,
+component-major: the log joint is a (K, N) matrix of K contiguous rows,
 and the responsibilities are handed on as its transpose, an F-ordered
-(N, K) view.
+(N, K) view. Both walk the rows in blocks (``_log_joint``) of
+``_block_rows(K*d)`` rows, so besides gamma they hold one block's
+temporaries, O(K d B) instead of O(K d N); data that fit in one block take
+a single GEMM.
 
 ``exp`` only ever sees entries in its fast range. In a private fit most of
 the shifted log joint lies far below -708 (a point against a component
@@ -25,6 +28,7 @@ taken over consecutive row blocks (``_row_block_product``): OpenBLAS's
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +62,8 @@ EXP_ZERO_BELOW = -800.0
 # The most multiply-adds, K x width x rows, of one row block of an M-step
 # product: OpenBLAS stays on its fast path up to about 6e5 and is 4-5x
 # slower per row from about 1.1e6 (one thread, K in {3, 10}, width 5 and 15).
+# The E-step's whitening product, K*d x d x rows, is blocked by K*d x rows
+# against the same budget (_block_rows).
 M_STEP_BLOCK_MADDS = 2 ** 19
 
 
@@ -173,15 +179,31 @@ def _cholesky(covs: np.ndarray) -> np.ndarray:
     raise RuntimeError("batched Cholesky failed but every component factors")
 
 
-def _log_joint(data: BoundedDataset, params: MoGParams) -> np.ndarray:
+def _block_rows(width: int) -> int:
+    """Rows B per block of the E-step's walk: the largest multiple of 64
+    with ``width`` x B (width K*d) at most ``M_STEP_BLOCK_MADDS``, and at
+    least 64. Blocks that start on a multiple of 64 rows get OpenBLAS's
+    rounding of one product over all rows; blocks of 17,476 or 999 rows
+    move entries in their last bits."""
+    return max(64, M_STEP_BLOCK_MADDS // width // 64 * 64)
+
+
+def _log_joint(data: BoundedDataset, params: MoGParams,
+               each: Callable[[int, np.ndarray], None] | None = None) -> np.ndarray:
     """(K, N) matrix of log(pi_k) + log N(x_i | mu_k, Sigma_k), one
-    contiguous row per component.
+    contiguous row per component, filled in consecutive blocks of
+    ``_block_rows(K*d)`` rows. With ``each``, ``each(start, block)`` gets
+    every block's (K, b) columns, rows start to start + b, as soon as they
+    are written and before the next block's GEMM; it may overwrite them,
+    and the matrix returned holds what it left there.
 
     Each covariance is factored as L_k L_k^T; the whitened rows
-    L_k^{-1}(x_i - mu_k) of every component come from one GEMM of the K
-    inverse factors, stacked into K*d rows, with X^T, minus the whitened
-    means as a column. The squares are summed over the d rows of each
-    component in order, 0 to d-1.
+    L_k^{-1}(x_i - mu_k) of every component come from one GEMM per block of
+    the K inverse factors, stacked into K*d rows, with the block's X^T, into
+    one reused (K*d, b) buffer, minus the whitened means as a column. The
+    squares are summed over the d rows of each component in order, 0 to
+    d-1. Every step after the GEMM works column by column, so a block's
+    columns do not depend on the block size beyond the GEMM's rounding.
     """
     X = data.rows
     n, d = X.shape
@@ -189,17 +211,34 @@ def _log_joint(data: BoundedDataset, params: MoGParams) -> np.ndarray:
     chol = _cholesky(params.covariances)
     inv = np.linalg.inv(chol)  # (K, d, d) inverse factors
     white_means = np.einsum("kab,kb->ka", inv, params.means).reshape(K * d, 1)
-    z = inv.reshape(K * d, d) @ X.T  # row k*d + a is row a of inv[k] times X^T
-    z -= white_means
-    z *= z
-    log_joint = z.reshape(K, d, n).sum(axis=1)
+    stacked = inv.reshape(K * d, d)  # row k*d + a is row a of inv[k]
     log_det = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)) @ np.ones(d)
     with np.errstate(divide="ignore"):
         log_w = np.log(params.weights)
-    const = log_w - 0.5 * (d * np.log(2.0 * np.pi) + log_det)
-    log_joint *= -0.5
-    log_joint += const[:, None]
-    return log_joint
+    const = (log_w - 0.5 * (d * np.log(2.0 * np.pi) + log_det))[:, None]
+    step = _block_rows(K * d)
+    # the last block takes one row more rather than leave a single row:
+    # numpy hands a one-column product to GEMV, which rounds unlike GEMM
+    z_buf = np.empty(K * d * min(n, step + 1))
+    out = np.empty((K, n))
+    start = 0
+    while start < n:
+        stop = n if n - start <= step + 1 else start + step
+        b = stop - start
+        z = z_buf[:K * d * b].reshape(K * d, b)
+        np.matmul(stacked, X[start:stop].T, out=z)
+        z -= white_means
+        z *= z
+        block = out[:, start:stop]
+        z.reshape(K, d, b).sum(axis=1, out=block)
+        if stop == n:  # each's work on the last block runs without it
+            z = z_buf = None
+        block *= -0.5
+        block += const
+        if each is not None:
+            each(start, block)
+        start = stop
+    return out
 
 
 def _shifted_exp(log_joint: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -240,26 +279,38 @@ def _shifted_exp(log_joint: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
 def e_step(data: BoundedDataset, params: MoGParams) -> Responsibilities:
     """Posterior membership probabilities under the current parameters.
 
-    The work is done on the (K, N) log joint; the returned gamma is its
-    transpose, an F-ordered (N, K) view with no copy, so ``gamma.T`` in the
-    M-step's GEMMs is C-ordered. Every column sum is at least 1 (its
-    largest entry is exp(0)), so a finite one makes the column a valid
-    distribution after the division; only a row that no component gives a
-    finite positive density is refused.
+    The work is done on the (K, N) log joint, one row block at a time
+    (``_log_joint``): each block's columns are exponentiated, checked and
+    normalised in place before the next block's GEMM, so the temporaries
+    are one block's, not O(K d N). The returned gamma is the transpose, an
+    F-ordered (N, K) view with no copy, so ``gamma.T`` in the M-step's
+    GEMMs is C-ordered. Every column sum is at least 1 (its largest entry
+    is exp(0)), so a finite one makes the column a valid distribution after
+    the division; only a row that no component gives a finite positive
+    density is refused.
     """
-    _, shifted, col_sums = _shifted_exp(_log_joint(data, params))
-    if not (col_sums.min() >= 1.0 and col_sums.max() < np.inf):
-        raise ValueError("responsibilities outside [0, 1]: a row has no finite "
-                         "positive mixture density")
-    shifted /= col_sums
-    return Responsibilities._normalised(shifted.T)
+    def normalise(start, block):
+        _, shifted, col_sums = _shifted_exp(block)
+        if not (col_sums.min() >= 1.0 and col_sums.max() < np.inf):
+            raise ValueError("responsibilities outside [0, 1]: a row has no finite "
+                             "positive mixture density")
+        shifted /= col_sums
+
+    return Responsibilities._normalised(_log_joint(data, params, normalise).T)
 
 
 def log_likelihood(data: BoundedDataset, params: MoGParams) -> float:
     """Total mixture log-likelihood of the dataset (divide by N to report
-    the per-datapoint value)."""
-    shift, _, col_sums = _shifted_exp(_log_joint(data, params))
-    return float((np.log(col_sums) + shift).sum())
+    the per-datapoint value). The log joint is walked in row blocks; the
+    per-row log sums of all blocks fill one (N,) vector, summed once."""
+    row_ll = np.empty(data.n)
+
+    def row_sums(start, block):
+        shift, _, col_sums = _shifted_exp(block)
+        np.add(np.log(col_sums), shift, out=row_ll[start:start + block.shape[1]])
+
+    _log_joint(data, params, row_sums)
+    return float(row_ll.sum())
 
 
 def _row_block_product(gamma: np.ndarray, operand: np.ndarray) -> np.ndarray:

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import cholesky, solve_triangular
 from scipy.special import logsumexp
 from scipy.stats import norm
 
+from dpem import mog
 from dpem.accountant import PrivacyBudget, calibrate
 from dpem.data import BoundedDataset, _uniform_ball, preprocess
 from dpem.dataio import synth_mog
@@ -274,6 +277,66 @@ def test_e_step_refuses_a_row_without_positive_density():
     data = BoundedDataset(np.array([[0.5, 0.0], [0.0, 0.0]]))
     with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
         e_step(data, params)
+
+
+# --- the E-step's row blocks --------------------------------------------------
+
+
+@pytest.mark.parametrize("K", [1, 3, 10])
+@pytest.mark.parametrize("d", [1, 2, 5])
+@pytest.mark.parametrize("rows", ["1", "B-1", "B", "B+1", "B+2", "2B+3"])
+def test_e_step_in_64_row_blocks_matches_one_block(monkeypatch, K, d, rows):
+    # B+1 rows are one block: a last block of one row joins the one before
+    n = {"1": 1, "B-1": 63, "B": 64, "B+1": 65, "B+2": 66, "2B+3": 131}[rows]
+    rng = np.random.default_rng(1000 * K + 10 * d + n)
+    full, params = random_mixture(d, K, rng)
+    data = BoundedDataset(full.rows[rng.integers(full.n, size=n)])
+    want_lj = _log_joint(data, params)
+    want_gamma = e_step(data, params).gamma
+    want_ll = log_likelihood(data, params)
+    monkeypatch.setattr(mog, "M_STEP_BLOCK_MADDS", K * d * 64)
+    assert mog._block_rows(K * d) == 64
+    np.testing.assert_allclose(_log_joint(data, params), want_lj, rtol=1e-13, atol=0)
+    gamma = e_step(data, params).gamma
+    assert gamma.flags.f_contiguous
+    np.testing.assert_allclose(gamma, want_gamma, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(log_likelihood(data, params), want_ll, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("scenario", ["ggg", "llg"])
+@pytest.mark.parametrize("estimator", ["map", "mle"])
+def test_private_fit_in_three_row_blocks_matches_one_block(monkeypatch, scenario,
+                                                           estimator):
+    raw, _ = synth_mog(3000, 5, 3, 1.0, seed=4)
+    data = preprocess(raw)
+    cfg = DpEmConfig(components=3, iterations=10, total=PrivacyBudget(1.0, 1e-4),
+                     scenario=scenario, estimator=estimator, seed=9)
+    want, _ = run_dpem_mog(data, cfg)
+    # 1024-row E-step blocks; the M-step's products are blocked too
+    monkeypatch.setattr(mog, "M_STEP_BLOCK_MADDS", 15 * 1024)
+    assert mog._block_rows(15) == 1024
+    got, _ = run_dpem_mog(data, cfg)
+    for field in ("weights", "means", "covariances"):
+        expected = getattr(want, field)
+        np.testing.assert_allclose(getattr(got, field), expected, rtol=1e-12,
+                                   atol=1e-12 * np.abs(expected).max())
+
+
+def test_e_step_memory_does_not_grow_with_n():
+    # one (K*d, N) whitening product would take 36 MB here
+    n, d, K = 300_000, 5, 3
+    rng = np.random.default_rng(12)
+    data = BoundedDataset(0.9 * _uniform_ball(n, d, rng))
+    covs = np.stack([0.05 * np.eye(d), PSD_FLOOR * np.eye(d), 0.2 * np.eye(d)])
+    params = mk_params(np.full(K, 1.0 / K), 0.3 * _uniform_ball(K, d, rng), covs)
+    tracemalloc.start()
+    try:
+        gamma = e_step(data, params).gamma
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gamma.nbytes == 7_200_000
+    assert peak - gamma.nbytes < 12e6
 
 
 # --- _shifted_exp's bands -----------------------------------------------------
