@@ -22,6 +22,7 @@ charge's ``eps_i`` and a Gaussian charge's ``rho``, whose log moment is
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -239,10 +240,28 @@ class MomentCurve:
         return float(self.values[order - 1])
 
 
-def _moment_curve(charges: list[tuple], max_order: int) -> np.ndarray:
-    """Total log moment at orders 1..max_order: one Laplace moment vector
-    per distinct Laplace eps_i, plus (l^2 + l) times the Gaussian rho."""
+@functools.lru_cache(maxsize=None)
+def _order_terms(max_order: int) -> tuple[np.ndarray, ...]:
+    """What the moments accountant computes from the orders l = 1..max_order
+    alone, cached per max_order and read-only: l, l + 1, the Gaussian log
+    moment per unit rho l^2 + l, and the two eps_i-free parts of the Laplace
+    log moment, log(l+1) - log(2l+1) and log(l) - log(2l+1), evaluated as
+    ``laplace_moment`` evaluates them at l >= 1."""
     orders = np.arange(1, max_order + 1)
+    lam = orders.astype(float)
+    log_2l_1 = np.log(2.0 * lam + 1.0)
+    terms = (lam, lam + 1.0, (orders ** 2 + orders).astype(float),
+             np.log(lam + 1.0) - log_2l_1, np.log(lam) - log_2l_1)
+    for arr in terms:
+        arr.flags.writeable = False
+    return terms
+
+
+def _moment_curve(charges: list[tuple], max_order: int) -> np.ndarray:
+    """Total log moment at orders 1..max_order: (l^2 + l) times the Gaussian
+    rho, plus one Laplace moment vector per distinct Laplace eps_i, equal
+    bit for bit to ``laplace_moment`` at those orders."""
+    lam, lam_1, gauss, lap_hi, lap_lo = _order_terms(max_order)
     gauss_rho = 0.0
     laplace_counts: dict[float, int] = {}
     for kind, eps_i, _, rho, count in charges:
@@ -250,14 +269,16 @@ def _moment_curve(charges: list[tuple], max_order: int) -> np.ndarray:
             laplace_counts[eps_i] = laplace_counts.get(eps_i, 0) + count
         else:
             gauss_rho += count * rho
-    curve = (orders ** 2 + orders) * gauss_rho
+    curve = gauss * gauss_rho
     for eps_i, count in laplace_counts.items():
-        curve += count * laplace_moment(orders, eps_i)
+        if not eps_i > 0:
+            raise ValueError("eps_i must be positive")
+        curve += count * np.logaddexp(lap_hi + lam * eps_i, lap_lo - eps_i * lam_1)
     return curve
 
 
 def _tail_epsilon(values: np.ndarray, delta: float) -> float:
-    orders = np.arange(1, values.shape[0] + 1)
+    orders = _order_terms(values.shape[0])[0]
     return float(((values + math.log(1.0 / delta)) / orders).min())
 
 
@@ -309,25 +330,30 @@ def compose(charges: list[tuple], method: str, delta: float,
     Gaussian delta_i mass is accounted additively and the Markov tail is
     evaluated at the remaining delta. No charges spend nothing.
     """
+    return PrivacyBudget(*_compose(charges, method, delta, slack, max_order))
+
+
+def _compose(charges: list[tuple], method: str, delta: float,
+             slack: Optional[float], max_order: int) -> tuple[float, float]:
+    """:func:`compose`'s (epsilon, delta) as two floats, which calibration's
+    bisection compares without building a budget per step."""
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
     if not charges:
-        return PrivacyBudget(0.0, 0.0)
+        return 0.0, 0.0
     if method == "zcdp":
         rho = sum(count * r for _, _, _, r, count in charges)
-        return PrivacyBudget(zcdp_to_dp(rho, delta), delta)
+        return zcdp_to_dp(rho, delta), delta
     gauss_delta = sum(count * d for _, _, d, _, count in charges if d is not None)
     if method == "linear":
-        return PrivacyBudget(sum(count * eps_i for _, eps_i, _, _, count in charges),
-                             gauss_delta)
+        return sum(count * eps_i for _, eps_i, _, _, count in charges), gauss_delta
     rest = slack if method == "advanced" and slack is not None else delta - gauss_delta
     if rest <= 0:
         raise UnattainableBudgetError(
             f"delta budget {delta} leaves no slack after the Gaussian "
             f"mass {gauss_delta}")
     if method == "ma":
-        return PrivacyBudget(_tail_epsilon(_moment_curve(charges, max_order), rest),
-                             delta)
+        return _tail_epsilon(_moment_curve(charges, max_order), rest), delta
     eps_set = {eps_i for _, eps_i, *_ in charges}
     if len(eps_set) > 1:
         raise ValueError("advanced composition needs a uniform eps_i")
@@ -335,40 +361,50 @@ def compose(charges: list[tuple], method: str, delta: float,
     m = sum(count for *_, count in charges)
     eps = (m * eps_i * (math.exp(eps_i) - 1.0)
            + math.sqrt(2.0 * m * math.log(1.0 / rest)) * eps_i)
-    return PrivacyBudget(eps, rest + gauss_delta)
-
-
-def _record_rho(r) -> float:
-    """zCDP cost of one trace record: eps_i^2/2 for a pure-DP release,
-    sens^2/(2 beta) for Gaussian."""
-    if r.kind == "laplace":
-        return 0.5 * r.eps_i ** 2
-    if r.beta is None or r.beta == 0.0:
-        return 0.0 if r.sensitivity == 0 else float("inf")
-    return r.sensitivity ** 2 / (2.0 * r.beta)
+    return eps, rest + gauss_delta
 
 
 def _trace_charges(trace) -> list[tuple]:
-    """One charge (kind, eps_i, delta_i, rho, 1) per ``trace.groups()`` group.
+    """The charges (kind, eps_i, delta_i, rho, 1) of a trace, one per
+    ``trace.groups()`` group, in one pass over its records.
 
-    A group is charged at its most expensive member: the largest eps_i
-    label, Gaussian delta_i and ``_record_rho``. A group mixing Laplace and
-    Gaussian members has no such member under the moments accountant
-    (neither log moment bounds the other at every order) and is refused.
+    rho is eps_i^2/2 for a pure-DP release and sensitivity^2/(2 beta) for a
+    Gaussian one. A record outside any parallel group is charged where it
+    stands. A parallel group is charged at its first member's place, at its
+    most expensive member: the largest eps_i label, Gaussian delta_i and
+    rho. A group mixing Laplace and Gaussian members has no such member
+    under the moments accountant (neither log moment bounds the other at
+    every order) and is refused.
     """
     out = []
-    for g in trace.groups():
-        r = g[0]
-        if len(g) == 1:
-            delta_i = r.delta_i if r.kind == "gaussian" else None
-            out.append((r.kind, r.eps_i, delta_i, _record_rho(r), 1))
+    group_at: dict = {}  # (label, iteration) -> index of the group's charge
+    for r in trace.records:
+        kind, eps_i = r.kind, r.eps_i
+        if kind == "laplace":
+            delta_i, rho = None, 0.5 * eps_i ** 2
+        else:
+            delta_i, beta = (r.delta_i if kind == "gaussian" else None), r.beta
+            if beta is None or beta == 0.0:
+                rho = 0.0 if r.sensitivity == 0 else math.inf
+            else:
+                rho = r.sensitivity ** 2 / (2.0 * beta)
+        if not r.parallel:
+            out.append((kind, eps_i, delta_i, rho, 1))
             continue
-        if any(m.kind != r.kind for m in g):
+        key = (r.label, r.iteration)
+        slot = group_at.setdefault(key, len(out))
+        if slot == len(out):
+            out.append((kind, eps_i, delta_i, rho, 1))
+            continue
+        # a later member: keep the larger of each, as max() over the group
+        # in trace order would
+        first_kind, top_eps, top_delta, top_rho, _ = out[slot]
+        if kind != first_kind:
             raise ValueError("a parallel group mixes Laplace and Gaussian releases")
-        deltas = [m.delta_i for m in g if m.delta_i is not None]
-        out.append((r.kind, max(m.eps_i for m in g),
-                    max(deltas) if r.kind == "gaussian" and deltas else None,
-                    max(_record_rho(m) for m in g), 1))
+        if delta_i is None or (top_delta is not None and not delta_i > top_delta):
+            delta_i = top_delta
+        out[slot] = (kind, eps_i if eps_i > top_eps else top_eps, delta_i,
+                     rho if rho > top_rho else top_rho, 1)
     return out
 
 
@@ -386,7 +422,8 @@ def compose_trace(trace, method: str, delta: float,
     a parallel group, e.g. the k centroids of one k-means iteration, reads
     disjoint cells of the data, so a neighbouring pair moves one member's
     input and the group costs its most expensive member. Every other record
-    is a group of one.
+    is a group of one. The charges keep the trace's order, a parallel group
+    at its first member.
     """
     return compose(_trace_charges(trace), method, delta, max_order=max_order)
 
@@ -423,10 +460,12 @@ def _search(charges_at: Callable[[float], list[tuple]], method: str,
             total: PrivacyBudget, max_order: int = DEFAULT_MAX_ORDER) -> float:
     """Bisect for the largest eps_i in [EPS_I_LO, EPS_I_HI] whose charges
     compose inside ``total`` (the spend grows with eps_i)."""
+    eps_cap, delta_cap = total.epsilon, total.delta * (1 + 1e-12)
+
     def feasible(eps_i: float) -> bool:
-        spend = compose(charges_at(eps_i), method, total.delta, max_order=max_order)
-        return (spend.epsilon <= total.epsilon
-                and spend.delta <= total.delta * (1 + 1e-12))
+        epsilon, delta = _compose(charges_at(eps_i), method, total.delta, None,
+                                  max_order)
+        return epsilon <= eps_cap and delta <= delta_cap
 
     lo, hi = EPS_I_LO, EPS_I_HI
     if feasible(hi):

@@ -34,7 +34,7 @@ PSD_FLOOR = 1e-6
 ROW_CHANGE = {"replace-one": 2.0, "add-remove": 1.0}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceRecord:
     """One mechanism invocation, with enough metadata to re-account it.
 
@@ -44,6 +44,8 @@ class TraceRecord:
     disjoint partition of the data: all parallel records sharing (label,
     iteration) form one group, and a neighbouring pair of datasets differs
     inside at most one of its cells (see ``AccountingTrace.groups``).
+    Records are slotted, without a ``__dict__``: an audited trace holds
+    thousands of them.
     """
 
     kind: str

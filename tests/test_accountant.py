@@ -2,13 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from dpem import accountant
 from dpem.accountant import (
+    METHODS,
+    SCENARIOS,
     CompositionPlan,
     MomentCurve,
     PrivacyBudget,
-    _record_rho,
+    _trace_charges,
     advanced_calibrate,
     advanced_compose,
     calibrate,
@@ -465,7 +470,7 @@ def test_zcdp_and_ma_audits_read_the_same_gaussian_rho():
     orders = np.arange(1, 65)
     rec = TraceRecord("gaussian", 2.0, 1.0, 0.5, 1e-6, "cov", 0, beta=16.0)
     trace = AccountingTrace([rec])
-    assert _record_rho(rec) == 0.125
+    assert _trace_charges(trace) == [("gaussian", 0.5, 1e-6, 0.125, 1)]
     z = compose_trace(trace, "zcdp", 1e-4)
     assert z.epsilon == pytest.approx(zcdp_to_dp(0.125, 1e-4), rel=1e-15)
     ma = compose_trace(trace, "ma", 1e-4, max_order=64)
@@ -594,3 +599,173 @@ def test_package_exports_the_engine_but_not_its_modules():
     assert dpem.compose is compose and "compose" in dpem.__all__
     assert "accountant" not in dpem.__all__
     assert dpem.accountant.compose_trace is compose_trace
+
+
+# --- the engine against its earlier form -------------------------------------------
+# Test-only references: group charging over ``trace.groups()`` with a rho per
+# record, a moment curve of ``laplace_moment`` vectors and a bisection that
+# builds a budget at every step. The engine must equal them bit for bit.
+
+
+def reference_record_rho(r):
+    if r.kind == "laplace":
+        return 0.5 * r.eps_i ** 2
+    if r.beta is None or r.beta == 0.0:
+        return 0.0 if r.sensitivity == 0 else float("inf")
+    return r.sensitivity ** 2 / (2.0 * r.beta)
+
+
+def reference_trace_charges(trace):
+    out = []
+    for g in trace.groups():
+        r = g[0]
+        if len(g) == 1:
+            delta_i = r.delta_i if r.kind == "gaussian" else None
+            out.append((r.kind, r.eps_i, delta_i, reference_record_rho(r), 1))
+            continue
+        if any(m.kind != r.kind for m in g):
+            raise ValueError("a parallel group mixes Laplace and Gaussian releases")
+        deltas = [m.delta_i for m in g if m.delta_i is not None]
+        out.append((r.kind, max(m.eps_i for m in g),
+                    max(deltas) if r.kind == "gaussian" and deltas else None,
+                    max(reference_record_rho(m) for m in g), 1))
+    return out
+
+
+def reference_curve(charges, max_order):
+    orders = np.arange(1, max_order + 1)
+    gauss_rho = 0.0
+    laplace_counts = {}
+    for kind, eps_i, _, rho, count in charges:
+        if kind == "laplace":
+            laplace_counts[eps_i] = laplace_counts.get(eps_i, 0) + count
+        else:
+            gauss_rho += count * rho
+    curve = (orders ** 2 + orders) * gauss_rho
+    for eps_i, count in laplace_counts.items():
+        curve += count * laplace_moment(orders, eps_i)
+    return curve
+
+
+def reference_compose(charges, method, delta, max_order):
+    """``compose``, with the moments accountant's tail taken over
+    ``reference_curve``; the other methods' formulas are unchanged."""
+    if method != "ma" or not charges:
+        return compose(charges, method, delta, max_order=max_order)
+    rest = delta - sum(count * d for _, _, d, _, count in charges if d is not None)
+    if rest <= 0:
+        raise UnattainableBudgetError("no slack")
+    orders = np.arange(1, max_order + 1)
+    values = reference_curve(charges, max_order)
+    return PrivacyBudget(float(((values + math.log(1.0 / rest)) / orders).min()),
+                         delta)
+
+
+def reference_search(charges_at, method, total, max_order=512):
+    def feasible(eps_i):
+        spend = reference_compose(charges_at(eps_i), method, total.delta, max_order)
+        return (spend.epsilon <= total.epsilon
+                and spend.delta <= total.delta * (1 + 1e-12))
+
+    lo, hi = accountant.EPS_I_LO, accountant.EPS_I_HI
+    if feasible(hi):
+        return hi
+    if not feasible(lo):
+        raise UnattainableBudgetError("unattainable")
+    while hi - lo > accountant.SEARCH_REL_TOL * lo:
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def outcome(call):
+    """A call's result, or the type of what it raised."""
+    try:
+        return call()
+    except (ValueError, UnattainableBudgetError) as exc:
+        return type(exc)
+
+
+def spend_of(call):
+    got = outcome(call)
+    return got if isinstance(got, type) else (got.epsilon, got.delta)
+
+
+_records = st.builds(
+    TraceRecord,
+    kind=st.sampled_from(["laplace", "gaussian"]),
+    sensitivity=st.just(0.0) | st.floats(1e-6, 10.0),
+    noise_scale=st.just(1.0),
+    eps_i=st.sampled_from([0.05, 0.3, 0.3000000000000001, 1.0, math.inf]),
+    delta_i=st.none() | st.sampled_from([1e-8, 1e-6]) | st.floats(1e-9, 1e-3),
+    label=st.sampled_from(["counts", "centroid", "cov"]),
+    iteration=st.integers(0, 2),
+    component=st.none(),
+    flagged=st.just(False),
+    beta=st.sampled_from([None, 0.0]) | st.floats(1e-8, 100.0),
+    parallel=st.booleans(),
+)
+_MIXED = AccountingTrace([
+    TraceRecord("laplace", 1.0, 2.0, 0.5, None, "x", 0, parallel=True),
+    TraceRecord("gaussian", 1.0, 2.0, 0.3, None, "y", 0),
+    TraceRecord("gaussian", 1.0, 2.0, 0.5, 1e-6, "x", 0, beta=4.0, parallel=True)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_records, max_size=14).map(AccountingTrace),
+       st.sampled_from(METHODS), st.sampled_from([1e-4, 1e-2, 0.5]),
+       st.sampled_from([1, 2, 64, 512]))
+@example(AccountingTrace(), "ma", 1e-4, 64)
+@example(_MIXED, "zcdp", 1e-4, 64)
+def test_compose_trace_equals_group_charging_bit_for_bit(trace, method, delta,
+                                                         max_order):
+    # parallel records share (label, iteration) wherever they sit in the
+    # trace, so groups interleave with single records
+    assert outcome(lambda: _trace_charges(trace)) == \
+        outcome(lambda: reference_trace_charges(trace))
+    assert spend_of(lambda: compose_trace(trace, method, delta, max_order)) == \
+        spend_of(lambda: reference_compose(reference_trace_charges(trace), method,
+                                           delta, max_order))
+
+
+def test_mixed_parallel_group_is_refused_as_before():
+    assert outcome(lambda: _trace_charges(_MIXED)) is ValueError
+    assert outcome(lambda: reference_trace_charges(_MIXED)) is ValueError
+
+
+@pytest.mark.parametrize("max_order", [1, 2, 64, 512])
+@pytest.mark.parametrize("method", METHODS)
+def test_calibrate_equals_plain_bisection_bit_for_bit(method, max_order,
+                                                      monkeypatch):
+    cases = [(CompositionPlan(scenario, J, K, 1e-8, method),
+              PrivacyBudget(eps, 1e-4))
+             for scenario in SCENARIOS for J in (1, 10, 50) for K in (1, 3, 10)
+             for eps in (0.1, 0.5, 1.0, 4.0, 10.0)]
+    got = [outcome(lambda: calibrate(plan, total, max_order))
+           for plan, total in cases]
+    monkeypatch.setattr(accountant, "_search", reference_search)
+    want = [outcome(lambda: calibrate(plan, total, max_order))
+            for plan, total in cases]
+    assert got == want
+    # the moments accountant needs eps > log(1/delta)/max_order: some cases
+    # reach their budget at every max_order, and all of them at 512
+    reached = [eps_i for eps_i in got if not isinstance(eps_i, type)]
+    assert len(reached) == len(got) if max_order == 512 else reached
+    if method == "ma":
+        for (plan, _), eps_i in zip(cases, got):
+            if not isinstance(eps_i, type):
+                charges = plan.charges(eps_i)
+                assert np.array_equal(accountant._moment_curve(charges, max_order),
+                                      reference_curve(charges, max_order))
+
+
+def test_zcdp_calibrate_pure_equals_plain_bisection_bit_for_bit(monkeypatch):
+    cases = [(n, PrivacyBudget(eps, delta)) for n in (1, 2, 20, 100, 1000)
+             for eps in (0.01, 0.1, 0.5, 1.0, 4.0, 50.0) for delta in (1e-8, 1e-4)]
+    got = [outcome(lambda: zcdp_calibrate_pure(n, total)) for n, total in cases]
+    monkeypatch.setattr(accountant, "_search", reference_search)
+    assert got == [outcome(lambda: zcdp_calibrate_pure(n, total))
+                   for n, total in cases]

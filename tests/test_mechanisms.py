@@ -1,4 +1,7 @@
+import dataclasses
 import math
+import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +11,6 @@ from hypothesis import strategies as st
 from dpem.accountant import (
     SCENARIOS,
     PrivacyBudget,
-    _record_rho,
     _trace_charges,
     compose_trace,
     gaussian_sigma,
@@ -338,7 +340,51 @@ def test_trace_charges_refuse_a_mixed_parallel_group():
 
 def test_trace_record_zcdp_rho_pure_dp_unit():
     rec = TraceRecord("laplace", 1.0, 1.0, 1.0, None, "x", 0)
-    assert _record_rho(rec) == pytest.approx(0.5)
+    assert _trace_charges(AccountingTrace([rec]))[0][3] == pytest.approx(0.5)
+
+
+def covariance_records(n):
+    """n Gaussian records, each with floats of its own, as a mixture run of
+    7 components records its covariance releases."""
+    records = []
+    for i in range(n):
+        sens = 2.0 / (i + 1.5)
+        sigma = 3.0 * sens
+        records.append(TraceRecord("gaussian", sens, sigma, 0.25, 1e-8, "covariance",
+                                   i // 7, i % 7, False, sigma * sigma))
+    return records
+
+
+def test_trace_pickles_and_round_trips():
+    trace = AccountingTrace(covariance_records(20) + [
+        TraceRecord("laplace", 1.0, 2.0, 0.5, None, "centroid", 0, 1, True,
+                    parallel=True)], neighbours="add-remove")
+    back = pickle.loads(pickle.dumps(trace))
+    assert back.records == trace.records and back.neighbours == "add-remove"
+    assert compose_trace(back, "zcdp", 1e-4) == compose_trace(trace, "zcdp", 1e-4)
+
+
+def test_trace_record_is_frozen_replaceable_and_has_no_dict():
+    (rec,) = covariance_records(1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rec.eps_i = 0.5
+    moved = dataclasses.replace(rec, parallel=True)
+    assert moved.parallel and moved.beta == rec.beta and not rec.parallel
+    assert not hasattr(rec, "__dict__")
+
+
+def test_trace_records_take_under_250_bytes_each():
+    # with their floats and the list: 275 B each with a per-record
+    # __dict__, 227 B with slots (CPython 3.11)
+    covariance_records(10)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        records = covariance_records(10_000)
+        used = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert used / len(records) < 250
 
 
 # --- release ----------------------------------------------------------------------
