@@ -731,11 +731,6 @@ def test_compose_trace_equals_group_charging_bit_for_bit(trace, method, delta,
                                            delta, max_order))
 
 
-def test_mixed_parallel_group_is_refused_as_before():
-    assert outcome(lambda: _trace_charges(_MIXED)) is ValueError
-    assert outcome(lambda: reference_trace_charges(_MIXED)) is ValueError
-
-
 @pytest.mark.parametrize("max_order", [1, 2, 64, 512])
 @pytest.mark.parametrize("method", METHODS)
 def test_calibrate_equals_plain_bisection_bit_for_bit(method, max_order,
@@ -753,7 +748,7 @@ def test_calibrate_equals_plain_bisection_bit_for_bit(method, max_order,
     # the moments accountant needs eps > log(1/delta)/max_order: some cases
     # reach their budget at every max_order, and all of them at 512
     reached = [eps_i for eps_i in got if not isinstance(eps_i, type)]
-    assert len(reached) == len(got) if max_order == 512 else reached
+    assert reached and (max_order < 512 or len(reached) == len(got))
     if method == "ma":
         for (plan, _), eps_i in zip(cases, got):
             if not isinstance(eps_i, type):
