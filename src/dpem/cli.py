@@ -6,7 +6,9 @@ Two subcommands:
   side by side.
 * ``dpem fit``: sweep epsilon x folds x seeds for a model (mog, fa or
   kmeans), writing line-delimited JSON results, a plot-ready CSV summary
-  of median/IQR metric vs epsilon, and a non-private baseline row.
+  of median/IQR metric vs epsilon, and a non-private baseline row. One
+  ``_MODELS`` entry per model holds its fit, score, metric name and
+  methods; each cell looks its entry up, fits, scores and audits.
 
 Exit codes: 0 success, 2 bad flags, 3 unattainable budget, 4 data error.
 ``DPEM_SEED`` overrides ``--seed``.
@@ -21,7 +23,6 @@ import os
 import sys
 import threading
 import time
-from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from multiprocessing.reduction import ForkingPickler
 from pathlib import Path
@@ -52,14 +53,7 @@ EXIT_FLAGS = 2
 EXIT_BUDGET = 3
 EXIT_DATA = 4
 
-# model -> {method: the composition its private runs are calibrated and
-# audited under}. ``dpem fit`` sweeps the methods in this order; without
-# --method it runs all of them except those in OPT_IN_METHODS.
-FIT_METHODS = {
-    "mog": {method: method for method in METHODS},
-    "fa": {"one-shot": "linear"},
-    "kmeans": {"dplloyd-linear": "linear", "dplloyd-zcdp": "zcdp", "dpem": "zcdp"},
-}
+# methods no ``dpem fit`` runs without --method naming them
 OPT_IN_METHODS = ("advanced",)
 AT_LEAST_1 = (lambda v: v >= 1, "at least 1")
 IN_UNIT = (lambda v: 0 < v < 1, "in (0, 1)")
@@ -77,28 +71,11 @@ AUDIT_SLACK = 1e-9
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
-# The running sweep as (parsed flags, its ``_BoundedFolds``, ordered
+# The running sweep as (parsed flags, the ``dataio.cv_split`` folds, ordered
 # (method, eps, fold, seed) cells): set once per process by ``_init_worker``
 # (a pool worker reads it through ``_attach_worker``), so that a task is
 # only its cell index.
 _SWEEP: tuple | None = None
-
-
-class _BoundedFolds(Sequence):
-    """The first ``count`` folds of a ``dataio.cv_split`` sequence, each read
-    as a (train, test) pair of datasets built on the spot. Their rows are a
-    subset of the validated dataset that was split, so they are wrapped
-    without being checked again."""
-
-    def __init__(self, folds: dataio.CrossValidationFolds, count: int):
-        self._folds, self._count = folds, count
-
-    def __len__(self) -> int:
-        return self._count
-
-    def __getitem__(self, fold: int) -> tuple[BoundedDataset, BoundedDataset]:
-        train, test = self._folds[range(self._count)[fold]]
-        return BoundedDataset._prechecked(train), BoundedDataset._prechecked(test)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -124,7 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           "L1 sensitivity needs the dimension d")
 
     fit = sub.add_parser("fit", help="run a privacy/utility sweep")
-    fit.add_argument("--model", choices=tuple(FIT_METHODS), required=True)
+    fit.add_argument("--model", choices=tuple(_MODELS), required=True)
     source = fit.add_mutually_exclusive_group(required=True)
     source.add_argument("--data", type=str, default=None,
                         help="numeric CSV of raw data rows")
@@ -145,8 +122,8 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--delta-i", type=float, default=1e-6)
     fit.add_argument("--method", type=str, default=None,
                      help="comma-separated methods (" + "; ".join(
-                         f"{model}: {','.join(methods)}"
-                         for model, methods in FIT_METHODS.items())
+                         f"{model}: {','.join(entry['methods'])}"
+                         for model, entry in _MODELS.items())
                      + f"); default: all but {','.join(OPT_IN_METHODS)}")
     fit.add_argument("--scenario", choices=SCENARIOS, default="ggg")
     fit.add_argument("--estimator", choices=("mle", "map"), default="map")
@@ -307,51 +284,70 @@ def _worker_pool(workers: int, sweep: tuple):
             os.environ.pop(var, None)
 
 
+def _fit_mog(train, args, method, composition, total, seed):
+    if composition is None:
+        return fit_em(train, args.k, args.iters, estimator=args.estimator, seed=seed), None
+    return run_dpem_mog(train, DpEmConfig(
+        components=args.k, iterations=args.iters, total=total, delta_i=args.delta_i,
+        scenario=args.scenario, method=composition, estimator=args.estimator,
+        seed=seed, max_order=args.max_order))
+
+
+def _fit_fa(train, args, method, composition, total, seed):
+    mom, trace = second_moment(train), None
+    if composition is not None:
+        mom, trace = perturb_second_moment(mom, total, np.random.default_rng(seed))
+    return run_fa_em(mom, args.q), trace
+
+
+def _fit_kmeans(train, args, method, composition, total, seed):
+    rng = np.random.default_rng(seed)
+    if composition is None:
+        return lloyd(train, args.k, args.iters, rng), None
+    if method == "dpem":
+        return dpem_kmeans(train, args.k, args.iters, total, rng)
+    return dplloyd(train, args.k, args.iters, total.epsilon,
+                   composition=composition, delta=total.delta, rng=rng)
+
+
+# model -> its ``dpem fit`` paths: ``fit(train, args, method, composition,
+# total, seed)`` returns the fitted model and its trace, or None for the
+# non-private baseline (composition None); ``score(test, fitted)`` returns
+# the metric ``metric_name`` names; ``methods`` maps each method, in sweep
+# order, to the composition its private runs are calibrated and audited
+# under. fit and score look the library up by this module's names when they
+# run, so that a wrapper set on one of those names sees every cell.
+_MODELS = {
+    "mog": {"metric_name": "test_loglik_per_point", "fit": _fit_mog,
+            "score": lambda test, params: log_likelihood(test, params) / test.n,
+            "methods": {method: method for method in METHODS}},
+    "fa": {"metric_name": "test_loglik_per_point", "fit": _fit_fa,
+           "score": lambda test, params: fa_average_log_likelihood(
+               second_moment(test), params),
+           "methods": {"one-shot": "linear"}},
+    "kmeans": {"metric_name": "nicv", "fit": _fit_kmeans,
+               "score": lambda test, clustering: nicv(test, clustering.centers),
+               "methods": {"dplloyd-linear": "linear", "dplloyd-zcdp": "zcdp",
+                           "dpem": "zcdp"}},
+}
+
+
 def _run_cell(index: int):
-    """Cell ``index`` of the sweep ``_init_worker`` stored in this process:
-    its (method, epsilon, fold, seed), split, settings and RNG seed. The
-    fold's datasets, and the pair products of its training rows, live only
-    as long as the cell."""
+    """Cell ``index`` of the sweep ``_init_worker`` stored in this process,
+    fitted, scored and, if private, audited through its ``_MODELS`` entry.
+    Its fold's rows are a subset of the validated dataset that was split,
+    so they are wrapped without being checked again; the datasets, and the
+    pair products of the training rows, live only as long as the cell."""
     t0 = time.perf_counter()
     args, folds, cells = _SWEEP
     method, eps, fold, seed = cells[index]
-    train, test = folds[fold]
-    model, delta = args.model, args.delta
+    train, test = map(BoundedDataset._prechecked, folds[fold])
+    entry, delta = _MODELS[args.model], args.delta
     cell_seed = int(np.random.SeedSequence((args.seed, index)).generate_state(1)[0])
-    # the composition a private cell is calibrated and audited under
-    composition = FIT_METHODS[model].get(method)
-
-    if model == "mog":
-        if composition is None:
-            params = fit_em(train, args.k, args.iters,
-                            estimator=args.estimator, seed=cell_seed)
-        else:
-            cfg = DpEmConfig(
-                components=args.k, iterations=args.iters,
-                total=PrivacyBudget(eps, delta), delta_i=args.delta_i,
-                scenario=args.scenario, method=composition,
-                estimator=args.estimator, seed=cell_seed,
-                max_order=args.max_order)
-            params, trace = run_dpem_mog(train, cfg)
-        metric = log_likelihood(test, params) / test.n
-    elif model == "fa":
-        mom = second_moment(train)
-        if composition is not None:
-            mom, trace = perturb_second_moment(
-                mom, PrivacyBudget(eps, delta), np.random.default_rng(cell_seed))
-        params = run_fa_em(mom, args.q)
-        metric = fa_average_log_likelihood(second_moment(test), params)
-    else:  # kmeans
-        rng = np.random.default_rng(cell_seed)
-        if composition is None:
-            clustering = lloyd(train, args.k, args.iters, rng)
-        elif method == "dpem":
-            clustering, trace = dpem_kmeans(train, args.k, args.iters,
-                                            PrivacyBudget(eps, delta), rng)
-        else:
-            clustering, trace = dplloyd(train, args.k, args.iters, eps,
-                                        composition=composition, delta=delta, rng=rng)
-        metric = nicv(test, clustering.centers)
+    composition = entry["methods"].get(method)  # None for the baseline
+    fitted, trace = entry["fit"](train, args, method, composition,
+                                 PrivacyBudget(eps, delta), cell_seed)
+    metric = entry["score"](test, fitted)
 
     n_mech, flagged, audited = 0, 0, (0.0, 0.0)
     if composition is not None:
@@ -365,10 +361,10 @@ def _run_cell(index: int):
                 f"({eps}, {delta})")
 
     return dataio.ExperimentResult(
-        model=model, method=method, scenario=args.scenario,
+        model=args.model, method=method, scenario=args.scenario,
         epsilon=eps, delta=delta, fold=fold, seed=seed,
         metric=float(metric), n_mechanisms=n_mech, flagged=flagged,
-        metric_name="nicv" if model == "kmeans" else "test_loglik_per_point",
+        metric_name=entry["metric_name"],
         audited_epsilon=audited[0], audited_delta=audited[1],
         wall_time=time.perf_counter() - t0)
 
@@ -388,7 +384,7 @@ def _listed(flag: str, text: str, parse, ok, what: str) -> list | None:
 
 
 def cmd_fit(args) -> int:
-    table = FIT_METHODS[args.model]
+    known = _MODELS[args.model]["methods"]
     env_seed = os.environ.get("DPEM_SEED")
     if env_seed is not None:  # overrides --seed, under the same rule
         ok, need = FLAG_RULES["seed"]
@@ -400,9 +396,9 @@ def cmd_fit(args) -> int:
     eps_list = _listed("eps-list", args.eps_list, float, eps_ok, f"{need} numbers")
     if eps_list is None or not _flags_ok(vars(args)):
         return EXIT_FLAGS
-    methods = ([m for m in table if m not in OPT_IN_METHODS] if args.method is None
-               else _listed("method", args.method, str, table.__contains__,
-                            f"{args.model} methods ({','.join(table)})"))
+    methods = ([m for m in known if m not in OPT_IN_METHODS] if args.method is None
+               else _listed("method", args.method, str, known.__contains__,
+                            f"{args.model} methods ({','.join(known)})"))
     if methods is None:
         return EXIT_FLAGS
 
@@ -420,12 +416,12 @@ def cmd_fit(args) -> int:
 
     # --folds 1 is the first of ten folds: a single 90/10 split. The folds
     # hold the only copy of the rows that the parent and each worker keep.
-    folds = _BoundedFolds(dataio.cv_split(bounded.rows, args.folds if args.folds > 1 else 10,
-                                          seed=args.seed), args.folds)
+    folds = dataio.cv_split(bounded.rows, args.folds if args.folds > 1 else 10,
+                            seed=args.seed)
     del bounded
     cells = [(method, eps, fold, seed) for method in [*methods, "baseline"]
              for eps in (eps_list if method != "baseline" else [math.inf])
-             for fold in range(len(folds)) for seed in range(args.seeds)]
+             for fold in range(args.folds) for seed in range(args.seeds)]
     sweep = (args, folds, cells)
 
     workers = min(args.jobs, len(cells))

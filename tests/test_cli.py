@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import weakref
 from multiprocessing import shared_memory
 from pathlib import Path
 
@@ -298,23 +299,85 @@ def test_fit_without_method_sweeps_the_default_methods(tmp_path, model):
 
 
 def test_fit_tasks_carry_no_arrays(tmp_path, monkeypatch):
-    tasks = []
+    tasks, trained = [], []
     run_cell = cli._run_cell
 
     def spy(task):
         tasks.append(task)
         result = run_cell(task)
-        _, splits, _ = cli._SWEEP
-        assert not [train for train, _ in splits if "pairs" in vars(train)]
+        _, folds, _ = cli._SWEEP
+        # the sweep holds its folds as read-only arrays, not datasets
+        assert all(type(part) is np.ndarray and not part.flags.writeable
+                   for pair in folds for part in pair)
+        # the cell's training dataset, and its pairs cache, die with the cell
+        assert trained and all(ref() is None for ref, _ in trained)
         return result
 
+    def keep(fit):
+        def fit_and_keep(train, *args, **kwargs):
+            fitted = fit(train, *args, **kwargs)
+            trained.append((weakref.ref(train), "pairs" in vars(train)))
+            return fitted
+        return fit_and_keep
+
     monkeypatch.setattr(cli, "_run_cell", spy)
+    for name in ("run_dpem_mog", "fit_em"):
+        monkeypatch.setattr(cli, name, keep(getattr(cli, name)))
     assert run_cli(fit_args(tmp_path / "spy", extra=["--folds", "2"])) == 0
     # each task is its cell index: an int, never an array
     assert len(tasks) == 12
     assert all(type(task) is int for task in tasks)
     assert sorted(tasks) == list(range(12))
+    assert len(trained) == 12 and all(cached for _, cached in trained)
     assert cli._SWEEP is None
+
+
+def test_fit_cells_call_the_library_through_cli_names(tmp_path, monkeypatch):
+    # perfbench's tracer wraps these names in dpem.cli: a cell that reached
+    # the library another way would leave its layers reading 0
+    calls = dict.fromkeys(("run_dpem_mog", "fit_em", "log_likelihood",
+                           "compose_trace", "preprocess"), 0)
+
+    def counted(name, fn):
+        def count(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return count
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    assert run_cli(fit_args(tmp_path / "names", extra=["--jobs", "1"])) == 0
+    # 2 eps x 2 seeds private cells and 2 baseline cells, each scored once
+    assert calls == {"run_dpem_mog": 4, "fit_em": 2, "log_likelihood": 6,
+                     "compose_trace": 4, "preprocess": 1}
+
+
+@pytest.mark.parametrize("model", sorted(cli._MODELS))
+def test_fit_sweeps_every_path_of_the_table(tmp_path, model):
+    # every method of the model's entry, opt-in ones included, plus the
+    # baseline: one row each, under the entry's metric name, and only the
+    # private rows carry a trace whose audited spend is within budget
+    entry = cli._MODELS[model]
+    flags = ["fit", "--model", model, "--synth-n", "300", "--synth-d", "3",
+             "--synth-k", "2", "--k", "2", "--q", "1", "--iters", "2",
+             "--eps-list", "0.5", "--delta", "1e-4", "--seed", "2"]
+    assert run_cli([*flags, "--method", ",".join(entry["methods"]),
+                    "--out", str(tmp_path / "all")]) == 0
+    listed = rows_without_timing(tmp_path / "all" / "results.jsonl")
+    assert sorted(r["method"] for r in listed) == sorted([*entry["methods"], "baseline"])
+    rows = {r["method"]: r for r in listed}
+    assert {r["metric_name"] for r in rows.values()} == {entry["metric_name"]}
+    for method in entry["methods"]:
+        row = rows[method]
+        assert row["n_mechanisms"] > 0
+        assert 0 < row["audited_epsilon"] <= 0.5 + cli.AUDIT_SLACK
+        assert 0 <= row["audited_delta"] <= 1e-4 + cli.AUDIT_SLACK
+    baseline = rows["baseline"]
+    assert (baseline["n_mechanisms"], baseline["audited_epsilon"],
+            baseline["audited_delta"]) == (0, 0.0, 0.0)
+    assert run_cli([*flags, "--method", "baseline",
+                    "--out", str(tmp_path / "baseline")]) == 2
+    assert not (tmp_path / "baseline").exists()
 
 
 def fit_peak_bytes(out_dir, folds):
