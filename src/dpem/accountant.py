@@ -13,12 +13,14 @@ plain tuples (kind, eps_i, delta_i, rho, count), each one release or one
 parallel group at its most expensive member, repeated ``count`` times. A
 :class:`CompositionPlan` yields its charges at a given eps_i, a recorded
 ``mechanisms.AccountingTrace`` one per group. Calibration searches for the
-largest eps_i whose plan composes inside the budget; the audit composes
-the trace. Linear and advanced composition read the ``eps_i`` labels (and
-the Gaussian ``delta_i``). zCDP reads ``rho``: eps_i^2/2 for Laplace,
-sensitivity^2/(2 beta) for Gaussian. The moments accountant reads a Laplace
-charge's ``eps_i`` and a Gaussian charge's ``rho``, whose log moment is
-(l^2 + l) rho.
+largest eps_i whose plan composes inside the budget, the one plain
+bisection finds, bit for bit: secant steps on the spend estimate it, the
+bisection is replayed on that estimate, and composing the replay's final
+bracket confirms it. The audit composes the trace. Linear and advanced
+composition read the ``eps_i`` labels (and the Gaussian ``delta_i``).
+zCDP reads ``rho``: eps_i^2/2 for Laplace, sensitivity^2/(2 beta) for
+Gaussian. The moments accountant reads a Laplace charge's ``eps_i`` and a
+Gaussian charge's ``rho``, whose log moment is (l^2 + l) rho.
 """
 from __future__ import annotations
 
@@ -38,6 +40,10 @@ DEFAULT_MAX_ORDER = 512
 EPS_I_LO = 1e-8
 EPS_I_HI = 1.0 - 1e-8
 SEARCH_REL_TOL = 1e-6
+# calibration's secant estimate: at most this many steps, ending once a
+# step moves log eps_i by no more than _SECANT_TOL
+_SECANT_STEPS = 8
+_SECANT_TOL = 1e-6
 
 SCENARIOS = ("llg", "ggg")
 METHODS = ("linear", "advanced", "zcdp", "ma")
@@ -336,7 +342,7 @@ def compose(charges: list[tuple], method: str, delta: float,
 def _compose(charges: list[tuple], method: str, delta: float,
              slack: Optional[float], max_order: int) -> tuple[float, float]:
     """:func:`compose`'s (epsilon, delta) as two floats, which calibration's
-    bisection compares without building a budget per step."""
+    search compares without building a budget per step."""
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
     if not charges:
@@ -456,30 +462,87 @@ def advanced_compose(plan: CompositionPlan, eps_i: float,
 # calibration: the largest eps_i whose composed schedule fits the budget
 
 
-def _search(charges_at: Callable[[float], list[tuple]], method: str,
-            total: PrivacyBudget, max_order: int = DEFAULT_MAX_ORDER) -> float:
-    """Bisect for the largest eps_i in [EPS_I_LO, EPS_I_HI] whose charges
-    compose inside ``total`` (the spend grows with eps_i)."""
-    eps_cap, delta_cap = total.epsilon, total.delta * (1 + 1e-12)
-
-    def feasible(eps_i: float) -> bool:
-        epsilon, delta = _compose(charges_at(eps_i), method, total.delta, None,
-                                  max_order)
-        return epsilon <= eps_cap and delta <= delta_cap
-
+def _bisect(feasible: Callable[[float], bool]) -> tuple[float, float]:
+    """Calibration's bisection of [EPS_I_LO, EPS_I_HI] down to a relative
+    width of SEARCH_REL_TOL under ``feasible``: its final (lo, hi)."""
     lo, hi = EPS_I_LO, EPS_I_HI
-    if feasible(hi):
-        return hi
-    if not feasible(lo):
-        raise UnattainableBudgetError(
-            "budget unattainable even at the smallest per-iteration eps")
     while hi - lo > SEARCH_REL_TOL * lo:
         mid = 0.5 * (lo + hi)
         if feasible(mid):
             lo = mid
         else:
             hi = mid
-    return lo
+    return lo, hi
+
+
+def _search(charges_at: Callable[[float], list[tuple]], method: str,
+            total: PrivacyBudget, max_order: int = DEFAULT_MAX_ORDER) -> float:
+    """The largest eps_i in [EPS_I_LO, EPS_I_HI] whose charges compose
+    inside ``total``, bit for bit as plain bisection finds it, in a third
+    of the compositions.
+
+    The spend grows with eps_i, so a composed eps_i that fits settles every
+    midpoint below it, and one that does not every midpoint above it. After
+    the two ends, secant steps estimate where the spend meets the budget:
+    on log(spend - floor) against log eps_i, with the floor the spend at
+    EPS_I_LO (the moments accountant's tail term log(1/delta)/max_order
+    keeps its spend near such a floor at small eps_i). The first step
+    takes that excess to grow in proportion to eps_i; a step that would
+    leave the settled bracket (a, b) takes its log-midpoint. The steps stop
+    when one moves log eps_i by at most _SECANT_TOL, after _SECANT_STEPS,
+    or when the spend is not above the floor and finite. The bisection
+    then runs with each unsettled midpoint taken as the estimate says, and
+    composing its final lo and hi checks all of those midpoints at once.
+    If a check fails, the bisection runs again and composes every midpoint
+    still unsettled; with nothing settled, that is plain bisection.
+    """
+    eps_cap, delta_cap = total.epsilon, total.delta * (1 + 1e-12)
+    a, b = EPS_I_LO, EPS_I_HI  # every eps_i <= a fits, every eps_i >= b not
+    spend = math.nan  # the epsilon of the latest composition
+
+    def feasible(eps_i: float) -> bool:
+        nonlocal a, b, spend
+        spend, delta = _compose(charges_at(eps_i), method, total.delta, None,
+                                max_order)
+        if spend <= eps_cap and delta <= delta_cap:
+            a = eps_i
+            return True
+        b = eps_i
+        return False
+
+    if feasible(EPS_I_HI):
+        return EPS_I_HI
+    spend_hi = spend
+    if not feasible(EPS_I_LO):
+        raise UnattainableBudgetError(
+            "budget unattainable even at the smallest per-iteration eps")
+
+    floor, guess = spend, None
+    if floor < eps_cap and floor < spend_hi < math.inf:
+        target = math.log(eps_cap - floor)
+        x1, y1 = math.log(EPS_I_HI), math.log(spend_hi - floor)
+        x0, y0 = x1 - 1.0, y1 - 1.0
+        for step in range(_SECANT_STEPS + 1):
+            x = x1 + (target - y1) * (x1 - x0) / (y1 - y0) if y1 != y0 else math.nan
+            converged = abs(x - x1) <= _SECANT_TOL  # False for NaN
+            if not (converged or math.log(a) < x < math.log(b)):
+                x = 0.5 * (math.log(a) + math.log(b))
+            eps_i = math.exp(x)
+            if converged or step == _SECANT_STEPS:
+                guess = eps_i
+                break
+            if not a < eps_i < b:
+                break
+            feasible(eps_i)
+            if not floor < spend < math.inf:
+                break
+            x0, y0, x1, y1 = x1, y1, x, math.log(spend - floor)
+
+    if guess is not None:
+        lo, hi = _bisect(lambda mid: mid <= a or (mid < b and mid <= guess))
+        if (lo <= a or feasible(lo)) and (hi >= b or not feasible(hi)):
+            return lo
+    return _bisect(lambda mid: mid <= a or (mid < b and feasible(mid)))[0]
 
 
 def _calibrate(plan: CompositionPlan, method: str, total: PrivacyBudget,
@@ -510,7 +573,8 @@ def calibrate(plan: CompositionPlan, total: PrivacyBudget,
     """Largest eps_i whose composition under ``plan.method`` fits ``total``.
 
     Linear composition inverts in closed form, eps / J(2K+1). The other
-    methods bisect over ``compose(plan.charges(eps_i), ...)``; advanced
+    methods search over ``compose(plan.charges(eps_i), ...)`` for the
+    eps_i that bisection finds (``_search``); advanced
     composition takes as its slack the delta left after the Gaussian delta_i
     mass, and the moments accountant evaluates its tail at that same delta.
     """

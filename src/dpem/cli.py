@@ -7,8 +7,8 @@ Two subcommands:
 * ``dpem fit``: sweep epsilon x folds x seeds for a model (mog, fa or
   kmeans), writing line-delimited JSON results, a plot-ready CSV summary
   of median/IQR metric vs epsilon, and a non-private baseline row. One
-  ``_MODELS`` entry per model holds its fit, score, metric name and
-  methods; each cell looks its entry up, fits, scores and audits.
+  ``_MODELS`` entry per model holds its fit, score, metric name, methods
+  and flag check; each cell looks its entry up, fits, scores and audits.
 
 Exit codes: 0 success, 2 bad flags, 3 unattainable budget, 4 data error.
 ``DPEM_SEED`` overrides ``--seed``.
@@ -300,6 +300,25 @@ def _fit_fa(train, args, method, composition, total, seed):
     return run_fa_em(mom, args.q), trace
 
 
+def _check_fa(args, d, eps_list):
+    """FA's flag rules that need the data: the latent dimension lies in
+    [0, d), and the one-shot Gaussian release attains only eps in (0, 1),
+    so a list such as the default is refused before its first cells run
+    rather than cut short after them with nothing written."""
+    if not 0 <= args.q < d:
+        print(f"--q must be in [0, {d - 1}], got {args.q}", file=sys.stderr)
+        return EXIT_FLAGS
+    if not all(map(IN_UNIT[0], eps_list)):
+        print(f"--eps-list must lie {IN_UNIT[1]} for --model fa, got {args.eps_list!r}",
+              file=sys.stderr)
+        return EXIT_BUDGET
+    return None
+
+
+def _no_check(args, d, eps_list):
+    return None
+
+
 def _fit_kmeans(train, args, method, composition, total, seed):
     rng = np.random.default_rng(seed)
     if composition is None:
@@ -315,20 +334,23 @@ def _fit_kmeans(train, args, method, composition, total, seed):
 # non-private baseline (composition None); ``score(test, fitted)`` returns
 # the metric ``metric_name`` names; ``methods`` maps each method, in sweep
 # order, to the composition its private runs are calibrated and audited
-# under. fit and score look the library up by this module's names when they
-# run, so that a wrapper set on one of those names sees every cell.
+# under; ``check(args, d, eps_list)``, run before any cell, returns the
+# exit code of a flag value the model refuses for data of dimension d,
+# after saying why, or None. fit and score look the library up by this
+# module's names when they run, so that a wrapper set on one of those
+# names sees every cell.
 _MODELS = {
     "mog": {"metric_name": "test_loglik_per_point", "fit": _fit_mog,
             "score": lambda test, params: log_likelihood(test, params) / test.n,
-            "methods": {method: method for method in METHODS}},
+            "methods": {method: method for method in METHODS}, "check": _no_check},
     "fa": {"metric_name": "test_loglik_per_point", "fit": _fit_fa,
            "score": lambda test, params: fa_average_log_likelihood(
                second_moment(test), params),
-           "methods": {"one-shot": "linear"}},
+           "methods": {"one-shot": "linear"}, "check": _check_fa},
     "kmeans": {"metric_name": "nicv", "fit": _fit_kmeans,
                "score": lambda test, clustering: nicv(test, clustering.centers),
                "methods": {"dplloyd-linear": "linear", "dplloyd-zcdp": "zcdp",
-                           "dpem": "zcdp"}},
+                           "dpem": "zcdp"}, "check": _no_check},
 }
 
 
@@ -384,7 +406,8 @@ def _listed(flag: str, text: str, parse, ok, what: str) -> list | None:
 
 
 def cmd_fit(args) -> int:
-    known = _MODELS[args.model]["methods"]
+    entry = _MODELS[args.model]
+    known = entry["methods"]
     env_seed = os.environ.get("DPEM_SEED")
     if env_seed is not None:  # overrides --seed, under the same rule
         ok, need = FLAG_RULES["seed"]
@@ -403,16 +426,9 @@ def cmd_fit(args) -> int:
         return EXIT_FLAGS
 
     bounded = preprocess(_load_matrix(args))
-    if args.model == "fa" and not 0 <= args.q < bounded.d:
-        print(f"--q must be in [0, {bounded.d - 1}], got {args.q}", file=sys.stderr)
-        return EXIT_FLAGS
-    # FA's one-shot Gaussian release attains only eps in (0, 1); checked
-    # before any cell runs, so a list such as the default is not cut short
-    # after its first cells with nothing written
-    if args.model == "fa" and not all(map(IN_UNIT[0], eps_list)):
-        print(f"--eps-list must lie {IN_UNIT[1]} for --model fa, got {args.eps_list!r}",
-              file=sys.stderr)
-        return EXIT_BUDGET
+    refused = entry["check"](args, bounded.d, eps_list)
+    if refused is not None:
+        return refused
 
     # --folds 1 is the first of ten folds: a single 90/10 split. The folds
     # hold the only copy of the rows that the parent and each worker keep.
